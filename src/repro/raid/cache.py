@@ -60,6 +60,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
@@ -524,9 +525,11 @@ class StripeCache:
         ``IoCounters`` and final contents stay byte-for-byte identical
         to applying the ops one by one. What the batch amortizes is the
         lock traffic: one reentrant hold instead of one acquisition per
-        stripe-run.
+        stripe-run. A batch of one (every unbatched store request) keeps
+        the per-stripe-run holds, so a multi-stripe request never holds
+        the cache for longer than one stripe's transition.
         """
-        with self._lock:
+        with self._lock if len(ops) > 1 else nullcontext():
             results: "list[np.ndarray | None]" = []
             for is_write, offset, payload in ops:
                 if is_write:

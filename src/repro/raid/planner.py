@@ -7,8 +7,9 @@ different consumers:
 * the DiskSim controller *prices* plans — each :class:`ElementIO` queues
   at a simulated disk (Fig. 13);
 * :class:`repro.store.ArrayStore` *executes* plans — each element I/O
-  becomes a real read/write against a backing file, metered by the
-  store's :class:`~repro.store.IoCounters`.
+  becomes one chunk of a real span read/write against a backing file
+  (:meth:`RequestPlanner.plan_batch`), metered by the store's
+  :class:`~repro.store.IoCounters`.
 
 Because both consume identical plans, the controller's planned element
 I/O counts and the store's measured chunk I/Os must agree exactly —
@@ -68,6 +69,7 @@ __all__ = [
     "RequestPlan",
     "RequestPlanner",
     "RunPlan",
+    "SpanPlan",
     "coalesce_chunks",
     "plan_io_counters",
 ]
@@ -209,10 +211,11 @@ class BatchItem:
 class BatchGroup:
     """All runs of a batch that land on one stripe, in arrival order.
 
-    ``batchable`` marks groups whose every run takes the delta fast
-    path; a group holding any stripe-path or decoding run is executed
-    by the serial per-run machinery instead (it meters itself and is
-    excluded from the batch spans and ``BatchPlan.counts``).
+    ``batchable`` marks groups that join the batch's merged span phase:
+    every run takes the delta fast path (delta writes, reads that touch
+    no failed column). A group holding any stripe-path or decoding run —
+    and every group of a ``per_chunk`` plan — executes run by run
+    instead, after the merged phase.
     """
 
     stripe: int
@@ -221,31 +224,35 @@ class BatchGroup:
 
 
 @dataclass
-class BatchPlan:
-    """Merged execution plan for a batch of byte-addressed requests.
+class SpanPlan:
+    """Span I/O for a set of delta-path runs.
 
-    ``read_spans``/``write_spans`` are the deduplicated, gap-bridged
-    per-disk span lists covering every *batchable* group; ``counts`` is
-    the logical chunk accounting those groups must meter — the per-item
-    sum of their run plans, NOT the span footprint, so ``IoCounters``
-    stay byte-for-byte identical to replaying the requests serially
-    (the paper's 1+3 accounting contract). Fallback groups are left out
-    of both: the serial machinery that executes them meters them.
+    ``read_spans``/``write_spans`` are the deduplicated per-disk spans
+    covering every item's planned cells; ``counts`` is the logical chunk
+    accounting the items must meter — the per-item sum of their run
+    plans, NOT the span footprint, so ``IoCounters`` stay byte-for-byte
+    identical to executing the requests one at a time (the paper's 1+3
+    accounting contract).
     """
 
-    groups: list[BatchGroup]
+    items: list[BatchItem]
     read_spans: list[DiskSpan]
     write_spans: list[DiskSpan]
     counts: PlanCounts
 
-    @property
-    def batchable_groups(self) -> list[BatchGroup]:
-        """Groups the span path executes."""
-        return [group for group in self.groups if group.batchable]
+
+@dataclass
+class BatchPlan:
+    """Execution plan for a batch of byte-addressed requests: the
+    per-stripe groups in arrival order, and the merged span I/O of the
+    batchable ones. Fallback groups are left out of ``spans``."""
+
+    groups: list[BatchGroup]
+    spans: SpanPlan
 
     @property
     def fallback_groups(self) -> list[BatchGroup]:
-        """Groups deferred to the serial per-run machinery."""
+        """Groups executed run by run after the merged span phase."""
         return [group for group in self.groups if not group.batchable]
 
 
@@ -264,18 +271,15 @@ def coalesce_chunks(
     if bridge < 0:
         raise ValueError("bridge must be >= 0")
     spans: list[DiskSpan] = []
-    by_disk: dict[int, list[int]] = {}
-    for disk, lba in set(chunks):
-        by_disk.setdefault(disk, []).append(lba)
-    for disk in sorted(by_disk):
-        lbas = sorted(by_disk[disk])
-        start = prev = lbas[0]
-        for lba in lbas[1:]:
-            if lba - prev - 1 <= bridge:
-                prev = lba
-                continue
+    disk = start = prev = -1
+    for next_disk, lba in sorted(set(chunks)):
+        if next_disk == disk and lba - prev - 1 <= bridge:
+            prev = lba
+            continue
+        if disk >= 0:
             spans.append(DiskSpan(disk, start, prev - start + 1))
-            start = prev = lba
+        disk, start, prev = next_disk, lba, lba
+    if disk >= 0:
         spans.append(DiskSpan(disk, start, prev - start + 1))
     return spans
 
@@ -441,26 +445,21 @@ class RequestPlanner:
         ops: Sequence[tuple[bool, int, int]],
         failed: tuple[int, ...] = (),
         bridge: int = 0,
+        per_chunk: bool = False,
     ) -> BatchPlan:
-        """Merge a batch of ``(is_write, offset, length)`` requests.
+        """Plan a batch of ``(is_write, offset, length)`` requests.
 
-        Each request is split into per-stripe runs and planned exactly
-        as the serial path plans it (same cached :class:`RunPlan`
-        objects), then the runs are grouped by stripe in arrival order.
-        Groups where every run takes the delta fast path are *batchable*
-        and contribute to the merged span lists:
-
-        * **write spans** — the union of the groups' planned write
-          positions, coalesced per disk with gap bridging ``bridge``;
-        * **read spans** — the union of their planned pre-reads *plus
-          every chunk a write span covers* (bridged write gaps must be
-          in memory to be written back unchanged), coalesced the same
-          way.
-
-        Any group holding a stripe-path or decoding run — and every
-        group when the array is degraded, since ``failed`` forces the
-        stripe path — is flagged non-batchable for the caller's serial
-        fallback.
+        Each request is split into per-stripe runs and planned with the
+        same cached :class:`RunPlan` objects :meth:`plan_write_run` /
+        :meth:`plan_read_run` return, then the runs are grouped by stripe
+        in arrival order. Groups where every run takes the delta fast
+        path are *batchable*: their cells merge into one
+        :class:`SpanPlan` (see :meth:`plan_spans`, gap bridging
+        ``bridge``). ``failed`` forces writes onto the stripe path and
+        reads of failed columns onto decoding plans; groups holding such
+        a run are flagged non-batchable for the caller's run-by-run
+        execution. With ``per_chunk`` nothing is merged: every group
+        runs run by run, in plan order.
         """
         failed_key = tuple(sorted(set(failed)))
         groups: dict[int, BatchGroup] = {}
@@ -481,44 +480,66 @@ class RequestPlanner:
                     )
                 group = groups.get(run.stripe)
                 if group is None:
-                    group = groups[run.stripe] = BatchGroup(run.stripe, [])
+                    group = groups[run.stripe] = BatchGroup(
+                        run.stripe, [], batchable=not per_chunk
+                    )
                     ordered.append(group)
                 group.items.append(
                     BatchItem(op_index, run, plan, cursor, is_write)
                 )
-                if plan.path != "delta" or plan.decode:
+                if plan.path != "delta":
                     group.batchable = False
                 cursor += run.nbytes
+        merged = [
+            item for group in ordered if group.batchable
+            for item in group.items
+        ]
+        return BatchPlan(ordered, self.plan_spans(merged, bridge))
+
+    def plan_spans(
+        self,
+        items: list[BatchItem],
+        bridge: int = 0,
+        per_chunk: bool = False,
+    ) -> SpanPlan:
+        """Per-disk span I/O for delta-path ``items``.
+
+        * **write spans** — the union of the items' planned write cells,
+          coalesced per disk with gap bridging ``bridge``;
+        * **read spans** — the union of their planned pre-reads *plus
+          every chunk a write span covers* (bridged write gaps must be
+          in memory to be written back unchanged), coalesced the same
+          way.
+
+        With ``per_chunk`` every planned cell is its own one-chunk span,
+        reads and writes each in the items' run-plan cell order (covered
+        data, then dependent parities) — the unit fault injection counts.
+        """
         counts = [0, 0, 0, 0]
-        read_chunks: set[tuple[int, int]] = set()
-        write_chunks: set[tuple[int, int]] = set()
+        read_chunks: dict[tuple[int, int], None] = {}
+        write_chunks: dict[tuple[int, int], None] = {}
         rows = self.code.rows
-        for group in ordered:
-            if not group.batchable:
-                continue
-            base = group.stripe * rows
-            for item in group.items:
-                _, reads_rel, writes_rel, plan_counts = self._plan_cells(
-                    item.plan
-                )
-                for col, row in reads_rel:
-                    read_chunks.add((col, base + row))
-                for col, row in writes_rel:
-                    write_chunks.add((col, base + row))
-                counts[0] += plan_counts[0]
-                counts[1] += plan_counts[1]
-                counts[2] += plan_counts[2]
-                counts[3] += plan_counts[3]
-        write_spans = coalesce_chunks(write_chunks, bridge)
-        for span in write_spans:
-            for lba in span.lbas():
-                read_chunks.add((span.disk, lba))
-        return BatchPlan(
-            groups=ordered,
-            read_spans=coalesce_chunks(read_chunks, bridge),
-            write_spans=write_spans,
-            counts=PlanCounts(counts[0], counts[1], counts[2], counts[3]),
-        )
+        for item in items:
+            base = item.run.stripe * rows
+            _, reads_rel, writes_rel, plan_counts = self._plan_cells(
+                item.plan
+            )
+            for col, row in reads_rel:
+                read_chunks[(col, base + row)] = None
+            for col, row in writes_rel:
+                write_chunks[(col, base + row)] = None
+            for i in range(4):
+                counts[i] += plan_counts[i]
+        if per_chunk:
+            read_spans = [DiskSpan(d, lba, 1) for d, lba in read_chunks]
+            write_spans = [DiskSpan(d, lba, 1) for d, lba in write_chunks]
+        else:
+            write_spans = coalesce_chunks(write_chunks, bridge)
+            for span in write_spans:
+                for lba in span.lbas():
+                    read_chunks[(span.disk, lba)] = None
+            read_spans = coalesce_chunks(read_chunks, bridge)
+        return SpanPlan(items, read_spans, write_spans, PlanCounts(*counts))
 
     def _address(self, stripe: int, pos: Position) -> tuple[int, int]:
         address = self.mapping.element_address(stripe, pos)

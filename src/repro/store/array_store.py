@@ -23,6 +23,12 @@ than the naive path — and all degraded writes — fall back to the
 stripe granularity. Selection reuses the RMW cost model of
 ``repro.analysis.write_path``.
 
+Every logical request is a batch: :meth:`ArrayStore.write_bytes`,
+:meth:`read_bytes`, :meth:`write_chunks` and :meth:`read_chunks` all run
+:meth:`ArrayStore.execute_batch` on a batch of one, so one planner
+(``RequestPlanner.plan_batch``) and one span executor serve single
+requests and the batching service alike.
+
 Every operation is metered: :attr:`ArrayStore.io` accumulates chunk
 reads/writes split by data/parity for the store's lifetime, and
 :attr:`ArrayStore.last_io` holds the same counters for the most recent
@@ -50,7 +56,7 @@ import numpy as np
 
 from repro.codes.base import ArrayCode, Cell, Decoder
 from repro.raid.mapping import ChunkRun
-from repro.raid.planner import BatchItem, RequestPlanner, RunPlan
+from repro.raid.planner import BatchItem, RequestPlanner, RunPlan, SpanPlan
 from repro.store.journal import JournalRecord, MemoryJournal, WriteJournal
 from repro.store.metering import IoCounters, SyscallCounters
 
@@ -71,10 +77,18 @@ WRITE_MODES = ("auto", "delta", "stripe")
 _MODE_TO_STRATEGY = {"auto": "delta", "delta": "delta-always", "stripe": "stripe"}
 
 #: Scatter-gather availability (Linux/BSD yes, some platforms no). The
-#: batched span path degrades to the single-call pread/joined-pwrite
-#: fallbacks — still one syscall per span — when vectored I/O is absent.
+#: span path degrades to the single-call pread/joined-pwrite fallbacks —
+#: still one syscall per span — when vectored I/O is absent.
 _HAS_PREADV = hasattr(os, "preadv")
 _HAS_PWRITEV = hasattr(os, "pwritev")
+
+#: Gap-bridging distance (in chunks) for span coalescing in batches of
+#: two or more requests: two planned chunk I/Os on one disk separated by
+#: at most this many uncovered chunks merge into one span, trading bytes
+#: moved at memory speed for a saved syscall. A batch of one coalesces
+#: strictly adjacent chunks only, so its spans never leave its stripes
+#: and it moves exactly its planned chunks.
+SPAN_BRIDGE_CHUNKS = 16
 
 
 class DiskFailedError(RuntimeError):
@@ -129,13 +143,6 @@ class ArrayStore:
         shard_id: this store's id inside a shared journal (and inside a
             :class:`~repro.volume.VolumeManager`); 0 for standalone
             stores.
-        span_bridge_chunks: gap-bridging distance (in chunks) for
-            :meth:`execute_batch` span coalescing — two planned chunk
-            I/Os on one disk separated by at most this many uncovered
-            chunks merge into one span, trading extra bytes moved at
-            memory speed for one syscall saved. 0 coalesces strictly
-            adjacent chunks only. Logical :class:`IoCounters` are
-            unaffected (bridged gaps are not metered).
 
     Reopening a directory whose backing files don't match the requested
     geometry raises ``ValueError`` rather than destroying the contents.
@@ -156,12 +163,9 @@ class ArrayStore:
         fault_plan: "FaultPlan | None" = None,
         journal: WriteJournal | None = None,
         shard_id: int = 0,
-        span_bridge_chunks: int = 16,
     ) -> None:
         if stripes <= 0 or chunk_bytes <= 0:
             raise ValueError("stripes and chunk_bytes must be positive")
-        if span_bridge_chunks < 0:
-            raise ValueError("span_bridge_chunks must be >= 0")
         if write_mode not in WRITE_MODES:
             raise ValueError(
                 f"write_mode must be one of {WRITE_MODES}, got {write_mode!r}"
@@ -185,11 +189,6 @@ class ArrayStore:
         #: Physical backing-file syscalls (orthogonal to the logical
         #: chunk counters above — see :class:`SyscallCounters`).
         self.syscalls = SyscallCounters()
-        #: Max uncovered chunks :meth:`execute_batch` bridges when
-        #: coalescing planned chunk I/Os into per-disk spans. A bridged
-        #: gap trades a memory-speed copy for a saved syscall; gap bytes
-        #: are pre-read in the same batch and written back unchanged.
-        self.span_bridge_chunks = span_bridge_chunks
         #: Stripe-runs served by the delta fast path / full-stripe path.
         self.fast_path_writes = 0
         self.slow_path_writes = 0
@@ -243,20 +242,22 @@ class ArrayStore:
         self._backend = None
         if fault_plan is not None:
             self.set_fault_plan(fault_plan)
-        # Chunks a whole-column transfer moves, split (data, parity) —
-        # EMPTY cells carry no information and are not metered.
+        # Meter role of every cell, (data, parity) — EMPTY cells carry
+        # no information and meter (0, 0) — and the chunks a
+        # whole-column transfer moves, split the same way.
+        self._cell_meter = {
+            (r, c): (
+                int(code.kind(r, c) == Cell.DATA),
+                int(code.kind(r, c) == Cell.PARITY),
+            )
+            for r in range(code.rows)
+            for c in range(code.cols)
+        }
+        rows = range(code.rows)
         self._col_profile = [
             (
-                sum(
-                    1
-                    for r in range(code.rows)
-                    if code.kind(r, c) == Cell.DATA
-                ),
-                sum(
-                    1
-                    for r in range(code.rows)
-                    if code.kind(r, c) == Cell.PARITY
-                ),
+                sum(self._cell_meter[r, c][0] for r in rows),
+                sum(self._cell_meter[r, c][1] for r in rows),
             )
             for c in range(code.cols)
         ]
@@ -405,14 +406,15 @@ class ArrayStore:
 
         ``preadv`` with one destination buffer is the zero-copy form of
         ``pread`` — the kernel fills the numpy buffer directly, skipping
-        the intermediate ``bytes`` object. Platforms without ``preadv``
-        fall back to :meth:`_raw_read_span` (still one syscall per span,
-        plus one copy).
+        the intermediate ``bytes`` object. With a fault plan attached
+        the span goes through the fault backend instead, and platforms
+        without ``preadv`` fall back to :meth:`_raw_read_span` (still
+        one syscall per span, plus one copy).
         """
         buf = np.empty(length, dtype=np.uint8)
-        if not _HAS_PREADV:
+        if self._backend is not None or not _HAS_PREADV:
             buf[:] = np.frombuffer(
-                self._raw_read_span(disk, offset, length), dtype=np.uint8
+                self._read_span(disk, offset, length), dtype=np.uint8
             )
             return buf
         fd = self._handle(disk).fileno()
@@ -438,12 +440,13 @@ class ArrayStore:
         The batch path folds deltas *in place* inside the span's
         pre-read buffer, so write-back is always one contiguous slice
         of that buffer — a single-iovec gather straight from the numpy
-        memory, no join copy. Platforms without ``pwritev`` fall back
-        to :meth:`_raw_write_span` (one write, plus the ``tobytes``
-        copy).
+        memory, no join copy. With a fault plan attached the span goes
+        through the fault backend instead, and platforms without
+        ``pwritev`` fall back to :meth:`_raw_write_span` (one write,
+        plus the ``tobytes`` copy).
         """
-        if not _HAS_PWRITEV:
-            self._raw_write_span(disk, offset, data.tobytes())
+        if self._backend is not None or not _HAS_PWRITEV:
+            self._write_span(disk, offset, data.tobytes())
             return
         fd = self._handle(disk).fileno()
         view = memoryview(data)
@@ -491,13 +494,6 @@ class ArrayStore:
                     counters.data_chunks_read += data
                     counters.parity_chunks_read += parity
 
-    def _count_element(self, pos: tuple[int, int], *, wrote: bool) -> None:
-        kind = self.code.kind(*pos)
-        if kind == Cell.EMPTY:
-            return
-        is_parity = kind == Cell.PARITY
-        self._count(int(not is_parity), int(is_parity), wrote=wrote)
-
     def _current_decoder(self) -> Decoder:
         """The decoder for the present failure set, reused across stripes
         and operations (the algebra is solved once per ``(code, failed)``)."""
@@ -510,46 +506,38 @@ class ArrayStore:
     # ------------------------------------------------------------------
     # element / stripe I/O
     # ------------------------------------------------------------------
-    def _read_element(self, stripe: int, pos: tuple[int, int]) -> np.ndarray:
+    def read_element(self, stripe: int, pos: tuple[int, int]) -> np.ndarray:
+        """Raw element read for the cache and the scrubber (no parity
+        maintenance)."""
         row, col = pos
         if col in self.failed:
             raise DiskFailedError(f"disk {col} is failed")
         offset = (stripe * self.code.rows + row) * self.chunk_bytes
         data = self._read_span(col, offset, self.chunk_bytes)
-        self._count_element(pos, wrote=False)
+        self._count(*self._cell_meter[pos], wrote=False)
         return np.frombuffer(data, dtype=np.uint8).copy()
-
-    def _write_element(
-        self, stripe: int, pos: tuple[int, int], chunk: np.ndarray
-    ) -> None:
-        row, col = pos
-        if col in self.failed:
-            return  # writes to failed disks are dropped, as in a real array
-        offset = (stripe * self.code.rows + row) * self.chunk_bytes
-        self._write_span(col, offset, chunk.tobytes())
-        self._count_element(pos, wrote=True)
-        # Element writes mutate surviving columns outside the planner
-        # path (scrubber repairs, cache flushes): an in-flight rebuild
-        # must re-reconstruct the stripe afterwards. Snapshot the
-        # registry (C-level copy, atomic under the GIL) so concurrent
-        # register/deregister can't disturb the iteration.
-        for watcher in tuple(self._write_watchers):
-            watcher.add(stripe)
-
-    def read_element(self, stripe: int, pos: tuple[int, int]) -> np.ndarray:
-        """Raw element read for the cache layer (no parity maintenance)."""
-        return self._read_element(stripe, pos)
 
     def write_element(
         self, stripe: int, pos: tuple[int, int], chunk: np.ndarray
     ) -> None:
-        """Raw element write for the cache layer (no parity maintenance).
+        """Raw element write for the cache and the scrubber (no parity
+        maintenance).
 
         The caller owns stripe consistency: the write-back cache commits
         a stripe's data chunks and its coalesced parity updates together
-        at flush time.
+        at flush time. Writes to failed disks are dropped, as in a real
+        array.
         """
-        self._write_element(stripe, pos, chunk)
+        row, col = pos
+        if col in self.failed:
+            return
+        offset = (stripe * self.code.rows + row) * self.chunk_bytes
+        self._write_span(col, offset, chunk.tobytes())
+        self._count(*self._cell_meter[pos], wrote=True)
+        # Element writes mutate surviving columns outside the planner
+        # path (scrubber repairs, cache flushes): an in-flight rebuild
+        # must re-reconstruct the stripe afterwards.
+        self._notify_watchers(stripe)
 
     def _load_stripe(self, stripe: int) -> np.ndarray:
         """Read a whole stripe (failed columns come back zeroed)."""
@@ -631,23 +619,6 @@ class ArrayStore:
         attached (nothing else can interrupt a write mid-flight).
         """
         return self._journal_always or self.fault_plan is not None
-
-    def _journal_entry(
-        self, stripe: int, pos: tuple[int, int], chunk: np.ndarray
-    ) -> None:
-        """Record one pending element write (no-op while not journaling)."""
-        if not self._journalling:
-            return
-        row, col = pos
-        kind = self.code.kind(row, col)
-        meter = (int(kind == Cell.DATA), int(kind == Cell.PARITY))
-        offset = (stripe * self.code.rows + row) * self.chunk_bytes
-        self.journal.log(
-            JournalRecord(
-                shard=self.shard_id, disk=col, offset=offset,
-                payload=chunk.tobytes(), meter=meter,
-            )
-        )
 
     def _seal_journal(self) -> None:
         """Durability barrier: journal-before-data. Must return before
@@ -736,8 +707,14 @@ class ArrayStore:
         with self._watchers_lock:
             self._write_watchers.remove(watcher)
 
+    def _notify_watchers(self, stripe: int) -> None:
+        # Snapshot the registry (C-level copy, atomic under the GIL) so
+        # concurrent register/deregister can't disturb the iteration.
+        for watcher in tuple(self._write_watchers):
+            watcher.add(stripe)
+
     # ------------------------------------------------------------------
-    # logical byte / chunk I/O
+    # logical byte / chunk I/O: every request is a batch of one
     # ------------------------------------------------------------------
     def write_chunks(self, start: int, chunks: np.ndarray) -> None:
         """Write consecutive logical chunks starting at index ``start``.
@@ -755,10 +732,7 @@ class ArrayStore:
             )
         if start < 0 or start + chunks.shape[0] > self.capacity_chunks:
             raise ValueError("write beyond store capacity")
-        self._reset_last_io()
-        self._route_write(
-            start * self.chunk_bytes, np.ascontiguousarray(chunks).reshape(-1)
-        )
+        self.execute_batch([(True, start * self.chunk_bytes, chunks)])
 
     def write_bytes(self, offset: int, data: bytes | np.ndarray) -> None:
         """Write ``data`` at byte ``offset``; any alignment is accepted.
@@ -768,54 +742,230 @@ class ArrayStore:
         stripe path loads the stripe), so partial-chunk RMW costs no
         extra chunk I/Os over an aligned write of the same span.
         """
-        buf = (
-            np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-            if isinstance(data, np.ndarray)
-            else np.frombuffer(bytes(data), dtype=np.uint8)
-        )
-        if buf.size == 0:
-            raise ValueError("cannot write zero bytes")
-        if offset < 0 or offset + buf.size > self.capacity_bytes:
-            raise ValueError("write beyond store capacity")
-        self._reset_last_io()
-        self._route_write(offset, buf)
+        self.execute_batch([(True, offset, data)])
 
-    def _route_write(self, offset: int, buf: np.ndarray) -> None:
-        """Send a validated write through the cache or the direct path.
+    def read_chunks(self, start: int, count: int) -> np.ndarray:
+        """Read ``count`` logical chunks from ``start`` (degraded-safe)."""
+        if count <= 0:
+            raise ValueError("count must be positive")
+        if start < 0 or start + count > self.capacity_chunks:
+            raise ValueError("read beyond store capacity")
+        chunk = self.chunk_bytes
+        (flat,) = self.execute_batch([(False, start * chunk, count * chunk)])
+        return flat.reshape(count, chunk)
 
-        Degraded arrays disengage the cache: any write-back state is
-        drained (surviving parity still absorbs the coalesced deltas —
-        correct degraded-write semantics) and dropped so no stale chunk
-        can be served after the array changes underneath the cache.
+    def read_bytes(self, offset: int, length: int) -> np.ndarray:
+        """Read ``length`` bytes at ``offset`` (degraded-safe).
+
+        Chunk-granular underneath — partial head/tail chunks are read
+        whole and sliced, exactly as the planner prices them.
         """
+        (data,) = self.execute_batch([(False, offset, length)])
+        return data
+
+    def execute_batch(
+        self, ops: "Sequence[tuple[bool, int, object]]"
+    ) -> list[np.ndarray | None]:
+        """Execute a batch of requests with span I/O.
+
+        ``ops`` is a sequence of ``(is_write, offset, payload)`` tuples:
+        writes carry their payload (bytes or uint8 array), reads carry
+        their byte length. Returns one entry per op, in order — ``None``
+        for writes, the read data for reads. The public request entries
+        above are batches of one.
+
+        The batch is planned once (:meth:`RequestPlanner.plan_batch`)
+        into per-stripe run groups. Groups whose every run takes the
+        delta fast path (delta writes, reads that touch no failed
+        column) execute together through merged per-disk spans — one
+        ``preadv``/``pwritev`` per span — with all delta folding done in
+        memory between the two span phases and one sealed journal
+        transaction covering them. The remaining groups then run run by
+        run: stripe-path writes (:meth:`_stripe_write_run`), decoding
+        reads (:meth:`_read_run_into`), and their delta runs as spans of
+        their own. Chunk :class:`IoCounters` are metered from the
+        per-item run plans, so the logical accounting is byte-for-byte
+        what executing the ops one at a time meters (the paper's 1+3
+        contract); only :attr:`syscalls` sees the coalescing. Cached
+        stores hand the whole batch to the stripe cache.
+
+        Span shape:
+
+        * a batch of one coalesces strictly adjacent planned chunks
+          only, so it moves exactly its planned chunks and its spans
+          stay inside its own stripes;
+        * a batch of two or more also bridges gaps of up to
+          :data:`SPAN_BRIDGE_CHUNKS` uncovered chunks, pre-read in the
+          same batch and written back unchanged;
+        * with a fault plan attached, every planned chunk is its own
+          span I/O and runs execute one at a time in plan order, cells
+          in run-plan order (covered data, then dependent parities;
+          reads before writes) — the unit a fault plan counts ``at_op``
+          in.
+
+        **Concurrency contract** for batches of two or more: the caller
+        must guarantee no other writer mutates the store for the
+        duration of the call — not just the touched stripes, because
+        bridged gap chunks can belong to stripes the batch never locked.
+        The batching service dispatches batches from a single thread
+        while holding the array lock shared (maintenance takes it
+        exclusive), which satisfies the contract. A batch of one needs
+        only its own stripes held.
+        """
+        normalized: list[tuple[bool, int, np.ndarray | int]] = []
+        for is_write, offset, payload in ops:
+            if is_write:
+                buf = (
+                    np.ascontiguousarray(payload, dtype=np.uint8).reshape(-1)
+                    if isinstance(payload, np.ndarray)
+                    else np.frombuffer(bytes(payload), dtype=np.uint8)
+                )
+                if buf.size == 0:
+                    raise ValueError("cannot write zero bytes")
+                if offset < 0 or offset + buf.size > self.capacity_bytes:
+                    raise ValueError("write beyond store capacity")
+                normalized.append((True, offset, buf))
+            else:
+                length = int(payload)  # type: ignore[arg-type]
+                if length <= 0:
+                    raise ValueError("length must be positive")
+                if offset < 0 or offset + length > self.capacity_bytes:
+                    raise ValueError("read beyond store capacity")
+                normalized.append((False, offset, length))
+        if not normalized:
+            return []
+        self._reset_last_io()
         if self.cache is not None:
             if self.failed:
+                # Degraded arrays disengage the cache: write-back state
+                # is drained (surviving parity absorbs the coalesced
+                # deltas) and dropped, so no stale chunk can be served
+                # after the array changed underneath the cache.
                 self.cache.drop()
             else:
-                self.cache.write(offset, buf)
-                return
-        self._execute_write(offset, buf)
+                return self.cache.apply_batch(normalized)
+        per_chunk = self._backend is not None
+        plan = self.planner.plan_batch(
+            [
+                (is_write, offset, payload.size if is_write else payload)
+                for is_write, offset, payload in normalized
+            ],
+            failed=tuple(sorted(self.failed)),
+            bridge=SPAN_BRIDGE_CHUNKS if len(normalized) > 1 else 0,
+            per_chunk=per_chunk,
+        )
+        results: list[np.ndarray | None] = [
+            None if is_write else np.empty(payload, dtype=np.uint8)
+            for is_write, _, payload in normalized
+        ]
+        self._execute_spans(plan.spans, normalized, results)
+        for group in plan.fallback_groups:
+            for item in group.items:
+                if item.plan.path == "delta":
+                    self._execute_spans(
+                        self.planner.plan_spans([item], per_chunk=per_chunk),
+                        normalized, results,
+                    )
+                elif item.is_write:
+                    buf = normalized[item.op_index][2]
+                    self._stripe_write_run(
+                        item.run,
+                        buf[item.cursor : item.cursor + item.run.nbytes],
+                        item.plan,
+                    )
+                else:
+                    self._read_run_into(
+                        item.run, results[item.op_index], item.cursor
+                    )
+        return results
 
-    def _execute_write(self, offset: int, buf: np.ndarray) -> None:
-        failed_key = tuple(sorted(self.failed))
-        cursor = 0
-        for run in self.planner.mapping.byte_runs(offset, buf.size):
-            payload = buf[cursor : cursor + run.nbytes]
-            plan = self.planner.plan_write_run(
-                run.start,
-                run.length,
-                failed_key,
-                partial=run.is_partial(self.chunk_bytes),
+    def _execute_spans(
+        self,
+        spans: SpanPlan,
+        ops: list[tuple[bool, int, np.ndarray | int]],
+        results: list[np.ndarray | None],
+    ) -> None:
+        """Execute delta-path items through their span plan: pre-read
+        the spans, fold the writes in memory, journal, write back."""
+        chunk = self.chunk_bytes
+        rows = self.code.rows
+        # Phase 1 — bulk pre-read: one vectored syscall per span.
+        # ``state`` maps (disk, lba_chunk) to a *view into the span
+        # buffer*; folding mutates the views in place, so later items on
+        # a stripe observe earlier items' writes exactly as one-at-a-time
+        # execution would — and write-back (phase 3) is a single
+        # contiguous slice of the already-updated buffer per span.
+        state: dict[tuple[int, int], np.ndarray] = {}
+        owner: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+        for span in spans.read_spans:
+            disk, first = span.disk, span.lba_chunk
+            buf = self._vector_read_span(
+                disk, first * chunk, span.chunks * chunk
             )
-            if plan.path == "delta":
-                self._delta_write_run(run, payload)
-                self.fast_path_writes += 1
+            for i, lba in enumerate(span.lbas()):
+                state[(disk, lba)] = buf[i * chunk : (i + 1) * chunk]
+                owner[(disk, lba)] = (first, buf)
+        counts = spans.counts
+        if counts.chunks_read:
+            self._count(
+                counts.data_chunks_read,
+                counts.parity_chunks_read,
+                wrote=False,
+            )
+        # Phase 2 — fold every item in memory, arrival order.
+        dirty: dict[tuple[int, int], np.ndarray] = {}
+        writes = 0
+        for item in spans.items:
+            if item.is_write:
+                self._fold_write_item(
+                    item, ops[item.op_index][2], state, dirty
+                )
+                writes += 1
             else:
-                self._stripe_write_run(run, payload, plan)
-                self.slow_path_writes += 1
-            for watcher in tuple(self._write_watchers):
-                watcher.add(run.stripe)
-            cursor += run.nbytes
+                base = item.run.stripe * rows
+                self._fill_run(
+                    item.run,
+                    lambda row, col: state[(col, base + row)],
+                    results[item.op_index], item.cursor,
+                )
+        if not writes:
+            return
+        # Phase 3 — journal-before-data (one sealed transaction), then
+        # one vectored write-back per span. Bridged gaps rewrite
+        # ``state`` contents that were never dirtied — byte-identical to
+        # what phase 1 read.
+        if self._journalling:
+            for (disk, lba), view in dirty.items():
+                self.journal.log(
+                    JournalRecord(
+                        shard=self.shard_id, disk=disk, offset=lba * chunk,
+                        payload=view.tobytes(),
+                        meter=self._cell_meter[(lba % rows, disk)],
+                    )
+                )
+            self.journal.seal(self.shard_id)
+        # Every write span lies inside one read span (the planner
+        # expands read coverage over write-span gaps), so its bytes are
+        # one contiguous, already-folded slice of that span's buffer.
+        for span in spans.write_spans:
+            start, buf = owner[(span.disk, span.lba_chunk)]
+            self._vector_write_span(
+                span.disk,
+                span.lba_chunk * chunk,
+                buf[
+                    (span.lba_chunk - start) * chunk
+                    : (span.stop - start) * chunk
+                ],
+            )
+        self._count(
+            counts.data_chunks_written,
+            counts.parity_chunks_written,
+            wrote=True,
+        )
+        self._commit_journal()
+        self.fast_path_writes += writes
+        for stripe in {lba // rows for _, lba in dirty}:
+            self._notify_watchers(stripe)
 
     def _splice(
         self, run: ChunkRun, index: int, cursor: int, payload: np.ndarray,
@@ -837,52 +987,77 @@ class ArrayStore:
         new[skip : skip + take] = payload[cursor : cursor + take]
         return new, take
 
-    def _delta_write_run(self, run: ChunkRun, payload: np.ndarray) -> None:
-        """Delta RMW: read old data + dependent parities only, XOR the
-        data delta through each dependent chain, write back.
+    def _fold_write_item(
+        self,
+        item: BatchItem,
+        buf: np.ndarray,
+        state: dict[tuple[int, int], np.ndarray],
+        dirty: dict[tuple[int, int], np.ndarray],
+    ) -> None:
+        """Fold one delta write run into the span state (no disk I/O).
 
-        Two strict phases, matching the planner's read-then-write plan
-        shape: *every* pre-read (old data, then old parity) completes
-        before the first byte is mutated, so a read-side injected fault
-        (latent sector, fail-stop) surfaces while the stripe is still
-        untouched and the whole run can simply be retried after repair.
-        The write phase is journaled first (see
-        :meth:`complete_interrupted_write`), then lands data before
-        parity.
+        Delta RMW in memory: splice new data over ``state`` (the
+        pre-read or already-folded contents), XOR each data delta
+        through its dependent parity chains. Every ``state`` entry is a
+        view into a span buffer and is updated *in place*, so the span
+        write-back needs no gather — the buffer already holds the folded
+        bytes; ``dirty`` marks which views the journal must record, in
+        run-plan cell order (data, then parity).
         """
         code = self.code
-        # -- read phase -------------------------------------------------
+        rows = code.rows
+        run = item.run
+        base = run.stripe * rows
+        payload = buf[item.cursor : item.cursor + run.nbytes]
         parity_deltas: dict[tuple[int, int], np.ndarray] = {}
-        new_data: list[tuple[tuple[int, int], np.ndarray]] = []
         cursor = 0
         for index in range(run.length):
-            pos = code.data_positions[run.start + index]
-            old = self._read_element(run.stripe, pos)
+            row, col = code.data_positions[run.start + index]
+            key = (col, base + row)
+            old = state[key]
             new, consumed = self._splice(run, index, cursor, payload, old)
             cursor += consumed
             delta = np.bitwise_xor(old, new)
-            new_data.append((pos, new))
-            for parity in code.parity_dependents[pos]:
+            old[:] = new  # fold into the span buffer itself
+            dirty[key] = old
+            for parity in code.parity_dependents[(row, col)]:
                 acc = parity_deltas.get(parity)
                 if acc is None:
                     # copy: the same delta buffer feeds several parities
                     parity_deltas[parity] = delta.copy()
                 else:
                     np.bitwise_xor(acc, delta, out=acc)
-        new_parity: list[tuple[tuple[int, int], np.ndarray]] = []
         for parity in sorted(parity_deltas):
-            old = self._read_element(run.stripe, parity)
-            np.bitwise_xor(old, parity_deltas[parity], out=old)
-            new_parity.append((parity, old))
-        # -- write phase ------------------------------------------------
-        for pos, chunk in new_data + new_parity:
-            self._journal_entry(run.stripe, pos, chunk)
-        self._seal_journal()
-        for pos, chunk in new_data:
-            self._write_element(run.stripe, pos, chunk)
-        for pos, chunk in new_parity:
-            self._write_element(run.stripe, pos, chunk)
-        self._commit_journal()
+            row, col = parity
+            key = (col, base + row)
+            view = state[key]
+            np.bitwise_xor(view, parity_deltas[parity], out=view)
+            dirty[key] = view
+
+    def _fill_run(
+        self, run: ChunkRun, chunk_at, out: np.ndarray, base: int
+    ) -> None:
+        """Copy a read run's bytes into ``out`` at ``base``;
+        ``chunk_at(row, col)`` returns the element's current chunk."""
+        chunk = self.chunk_bytes
+        consumed = 0
+        cursor = base
+        for index in range(run.length):
+            data = chunk_at(*self.code.data_positions[run.start + index])
+            skip = run.skip if index == 0 else 0
+            take = min(chunk - skip, run.nbytes - consumed)
+            out[cursor : cursor + take] = data[skip : skip + take]
+            cursor += take
+            consumed += take
+
+    def _read_run_into(
+        self, run: ChunkRun, out: np.ndarray, base: int
+    ) -> None:
+        """Decoding read: the run touches a failed column, so read every
+        survivor of the stripe, reconstruct, and copy the run out."""
+        grid = self._load_stripe(run.stripe)
+        self._current_decoder().decode_columns(grid)
+        self._fill_run(run, lambda row, col: grid[row, col], out, base)
 
     def _stripe_write_run(
         self, run: ChunkRun, payload: np.ndarray, plan: RunPlan
@@ -929,341 +1104,8 @@ class ArrayStore:
         self._seal_journal()
         self._store_stripe(run.stripe, grid)
         self._commit_journal()
-
-    def read_chunks(self, start: int, count: int) -> np.ndarray:
-        """Read ``count`` logical chunks from ``start`` (degraded-safe)."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if start < 0 or start + count > self.capacity_chunks:
-            raise ValueError("read beyond store capacity")
-        self._reset_last_io()
-        flat = self._route_read(start * self.chunk_bytes,
-                                count * self.chunk_bytes)
-        return flat.reshape(count, self.chunk_bytes)
-
-    def read_bytes(self, offset: int, length: int) -> np.ndarray:
-        """Read ``length`` bytes at ``offset`` (degraded-safe).
-
-        Chunk-granular underneath — partial head/tail chunks are read
-        whole and sliced, exactly as the planner prices them.
-        """
-        if length <= 0:
-            raise ValueError("length must be positive")
-        if offset < 0 or offset + length > self.capacity_bytes:
-            raise ValueError("read beyond store capacity")
-        self._reset_last_io()
-        return self._route_read(offset, length)
-
-    def _route_read(self, offset: int, length: int) -> np.ndarray:
-        """Send a validated read through the cache or the direct path."""
-        if self.cache is not None:
-            if self.failed:
-                self.cache.drop()
-            else:
-                return self.cache.read(offset, length)
-        return self._execute_read(offset, length)
-
-    def _execute_read(self, offset: int, length: int) -> np.ndarray:
-        out = np.empty(length, dtype=np.uint8)
-        failed_key = tuple(sorted(self.failed))
-        cursor = 0
-        for run in self.planner.mapping.byte_runs(offset, length):
-            plan = self.planner.plan_read_run(run.start, run.length, failed_key)
-            cursor += self._read_run_into(run, plan, out, cursor)
-        return out
-
-    def _read_run_into(
-        self, run: ChunkRun, plan: RunPlan, out: np.ndarray, base: int
-    ) -> int:
-        """Execute one read run into ``out`` at ``base``; returns bytes
-        produced (``run.nbytes``)."""
-        chunk = self.chunk_bytes
-        grid = None
-        if plan.decode:
-            # The run touches a failed column: read every survivor of
-            # the stripe and reconstruct on the fly.
-            grid = self._load_stripe(run.stripe)
-            self._current_decoder().decode_columns(grid)
-        consumed = 0
-        cursor = base
-        for index in range(run.length):
-            row, col = self.code.data_positions[run.start + index]
-            if grid is not None:
-                data = grid[row, col]
-            else:
-                data = self._read_element(run.stripe, (row, col))
-            skip = run.skip if index == 0 else 0
-            take = min(chunk - skip, run.nbytes - consumed)
-            out[cursor : cursor + take] = data[skip : skip + take]
-            cursor += take
-            consumed += take
-        return consumed
-
-    # ------------------------------------------------------------------
-    # batched execution (cross-request span I/O)
-    # ------------------------------------------------------------------
-    def execute_batch(
-        self, ops: "Sequence[tuple[bool, int, object]]"
-    ) -> list[np.ndarray | None]:
-        """Execute a batch of requests with cross-request span I/O.
-
-        ``ops`` is a sequence of ``(is_write, offset, payload)`` tuples:
-        writes carry their payload (bytes or uint8 array), reads carry
-        their byte length. Returns one entry per op, in order — ``None``
-        for writes, the read data for reads.
-
-        The batch is planned once (:meth:`RequestPlanner.plan_batch`):
-        per-stripe run groups where every run takes the delta fast path
-        execute through merged, gap-bridged per-disk spans — one
-        ``preadv``/``pwritev`` per span instead of one ``pread``/
-        ``pwrite`` per chunk per request — with all delta folding done
-        in memory between the two span phases, one sealed journal
-        transaction covering the whole batch, and chunk
-        :class:`IoCounters` metered from the per-item run plans so the
-        logical accounting is byte-for-byte what replaying the ops
-        serially would meter (the paper's 1+3 contract; only
-        :attr:`syscalls` sees the coalescing). Degraded arrays, stores
-        with a fault plan attached, cached stores, stripe-path run
-        groups and single-op batches fall back to the serial machinery,
-        which is trivially equivalent.
-
-        **Concurrency contract**: the caller must guarantee no other
-        writer mutates the store for the duration of the call — not
-        just the touched stripes. Gap bridging writes back chunks
-        *between* planned writes (pre-read in the same batch, written
-        back unchanged), and those gap chunks can belong to stripes the
-        batch never locked; a concurrent writer could race them. The
-        batching service dispatches batches from a single thread while
-        holding the array lock shared (maintenance takes it exclusive),
-        which satisfies the contract.
-        """
-        normalized: list[tuple[bool, int, np.ndarray | int]] = []
-        for is_write, offset, payload in ops:
-            if is_write:
-                buf = (
-                    np.ascontiguousarray(payload, dtype=np.uint8).reshape(-1)
-                    if isinstance(payload, np.ndarray)
-                    else np.frombuffer(bytes(payload), dtype=np.uint8)
-                )
-                if buf.size == 0:
-                    raise ValueError("cannot write zero bytes")
-                if offset < 0 or offset + buf.size > self.capacity_bytes:
-                    raise ValueError("write beyond store capacity")
-                normalized.append((True, offset, buf))
-            else:
-                length = int(payload)  # type: ignore[arg-type]
-                if length <= 0:
-                    raise ValueError("length must be positive")
-                if offset < 0 or offset + length > self.capacity_bytes:
-                    raise ValueError("read beyond store capacity")
-                normalized.append((False, offset, length))
-        if not normalized:
-            return []
-        self._reset_last_io()
-        if self.cache is not None:
-            if self.failed:
-                self.cache.drop()
-            else:
-                return self.cache.apply_batch(normalized)
-        if self.failed or self._backend is not None or len(normalized) < 2:
-            return self._serial_batch(normalized)
-        return self._span_batch(normalized)
-
-    def _serial_batch(
-        self, ops: list[tuple[bool, int, np.ndarray | int]]
-    ) -> list[np.ndarray | None]:
-        """Execute a batch op-by-op through the serial machinery."""
-        results: list[np.ndarray | None] = []
-        for is_write, offset, payload in ops:
-            if is_write:
-                self._execute_write(offset, payload)
-                results.append(None)
-            else:
-                results.append(self._execute_read(offset, payload))
-        return results
-
-    def _span_batch(
-        self, ops: list[tuple[bool, int, np.ndarray | int]]
-    ) -> list[np.ndarray | None]:
-        """The merged span path (healthy, uncached, unfaulted, ≥2 ops)."""
-        chunk = self.chunk_bytes
-        plan = self.planner.plan_batch(
-            [
-                (is_write, offset, payload.size if is_write else payload)
-                for is_write, offset, payload in ops
-            ],
-            bridge=self.span_bridge_chunks,
-        )
-        results: list[np.ndarray | None] = [
-            None if is_write else np.empty(payload, dtype=np.uint8)
-            for is_write, _, payload in ops
-        ]
-        # Phase 1 — bulk pre-read: one vectored syscall per merged span.
-        # ``state`` maps (disk, lba_chunk) to a *view into the span
-        # buffer*; folding mutates the views in place, so later items in
-        # a group observe earlier items' writes exactly as serial
-        # execution order would — and write-back (phase 3) is a single
-        # contiguous slice of the already-updated buffer per span.
-        state: dict[tuple[int, int], np.ndarray] = {}
-        cover: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for span in plan.read_spans:
-            buf = self._vector_read_span(
-                span.disk, span.lba_chunk * chunk, span.chunks * chunk
-            )
-            cover.setdefault(span.disk, []).append((span.lba_chunk, buf))
-            for i, lba in enumerate(span.lbas()):
-                state[(span.disk, lba)] = buf[i * chunk : (i + 1) * chunk]
-        counts = plan.counts
-        if counts.chunks_read:
-            self._count(
-                counts.data_chunks_read,
-                counts.parity_chunks_read,
-                wrote=False,
-            )
-        # Phase 2 — fold every batchable group in memory, arrival order.
-        dirty: dict[tuple[int, int], np.ndarray] = {}
-        for group in plan.batchable_groups:
-            for item in group.items:
-                if item.is_write:
-                    self._fold_write_item(
-                        group.stripe, item, ops[item.op_index][2],
-                        state, dirty,
-                    )
-                    self.fast_path_writes += 1
-                    for watcher in tuple(self._write_watchers):
-                        watcher.add(group.stripe)
-                else:
-                    self._fill_read_item(
-                        group.stripe, item, state, results[item.op_index]
-                    )
-        # Phase 3 — journal-before-data (one sealed transaction for the
-        # whole batch), then one vectored write-back per merged span.
-        # Span gaps rewrite ``state`` contents that were never dirtied —
-        # byte-identical to what phase 1 read, see the class docstring.
-        journalled = self._journalling and bool(dirty)
-        if journalled:
-            rows = self.code.rows
-            for disk, lba in sorted(dirty):
-                self._journal_entry(
-                    lba // rows, (lba % rows, disk), dirty[(disk, lba)]
-                )
-            self._seal_journal()
-        # Every write span lies inside one read span (the planner
-        # expands read coverage over write-span gaps), so its bytes are
-        # one contiguous, already-folded slice of that span's buffer.
-        for span in plan.write_spans:
-            start, buf = next(
-                (start, buf)
-                for start, buf in cover[span.disk]
-                if start <= span.lba_chunk
-                and span.stop <= start + buf.size // chunk
-            )
-            self._vector_write_span(
-                span.disk,
-                span.lba_chunk * chunk,
-                buf[
-                    (span.lba_chunk - start) * chunk
-                    : (span.stop - start) * chunk
-                ],
-            )
-        if counts.chunks_written:
-            self._count(
-                counts.data_chunks_written,
-                counts.parity_chunks_written,
-                wrote=True,
-            )
-        if journalled:
-            self._commit_journal()
-        # Phase 4 — stripe-path / decoding groups: the serial per-run
-        # machinery (meters and journals itself, per run, as ever).
-        for group in plan.fallback_groups:
-            for item in group.items:
-                if item.is_write:
-                    buf = ops[item.op_index][2]
-                    payload = buf[item.cursor : item.cursor + item.run.nbytes]
-                    if item.plan.path == "delta":
-                        self._delta_write_run(item.run, payload)
-                        self.fast_path_writes += 1
-                    else:
-                        self._stripe_write_run(item.run, payload, item.plan)
-                        self.slow_path_writes += 1
-                    for watcher in tuple(self._write_watchers):
-                        watcher.add(item.run.stripe)
-                else:
-                    self._read_run_into(
-                        item.run, item.plan,
-                        results[item.op_index], item.cursor,
-                    )
-        return results
-
-    def _fold_write_item(
-        self,
-        stripe: int,
-        item: BatchItem,
-        buf: np.ndarray,
-        state: dict[tuple[int, int], np.ndarray],
-        dirty: dict[tuple[int, int], np.ndarray],
-    ) -> None:
-        """Fold one delta write run into the batch state (no disk I/O).
-
-        The in-memory mirror of :meth:`_delta_write_run`: splice new
-        data over ``state`` (the pre-read or already-folded contents),
-        XOR each data delta through its dependent parity chains. Every
-        ``state`` entry is a view into a span buffer and is updated *in
-        place*, so the span write-back needs no gather — the buffer
-        already holds the folded bytes; ``dirty`` marks which views the
-        journal must record.
-        """
-        code = self.code
-        rows = code.rows
-        run = item.run
-        payload = buf[item.cursor : item.cursor + run.nbytes]
-        parity_deltas: dict[tuple[int, int], np.ndarray] = {}
-        cursor = 0
-        for index in range(run.length):
-            row, col = code.data_positions[run.start + index]
-            key = (col, stripe * rows + row)
-            old = state[key]
-            new, consumed = self._splice(run, index, cursor, payload, old)
-            cursor += consumed
-            delta = np.bitwise_xor(old, new)
-            old[:] = new  # fold into the span buffer itself
-            dirty[key] = old
-            for parity in code.parity_dependents[(row, col)]:
-                acc = parity_deltas.get(parity)
-                if acc is None:
-                    # copy: the same delta buffer feeds several parities
-                    parity_deltas[parity] = delta.copy()
-                else:
-                    np.bitwise_xor(acc, delta, out=acc)
-        for parity in sorted(parity_deltas):
-            row, col = parity
-            key = (col, stripe * rows + row)
-            view = state[key]
-            np.bitwise_xor(view, parity_deltas[parity], out=view)
-            dirty[key] = view
-
-    def _fill_read_item(
-        self,
-        stripe: int,
-        item: BatchItem,
-        state: dict[tuple[int, int], np.ndarray],
-        out: np.ndarray,
-    ) -> None:
-        """Serve one read run from the batch state into ``out``."""
-        chunk = self.chunk_bytes
-        rows = self.code.rows
-        run = item.run
-        consumed = 0
-        cursor = item.cursor
-        for index in range(run.length):
-            row, col = self.code.data_positions[run.start + index]
-            data = state[(col, stripe * rows + row)]
-            skip = run.skip if index == 0 else 0
-            take = min(chunk - skip, run.nbytes - consumed)
-            out[cursor : cursor + take] = data[skip : skip + take]
-            cursor += take
-            consumed += take
+        self.slow_path_writes += 1
+        self._notify_watchers(run.stripe)
 
     # ------------------------------------------------------------------
     # failures, rebuild, scrubbing

@@ -90,9 +90,10 @@ class SyscallCounters:
     ``IoCounters`` meters *logical* chunk transfers — the paper's 1+3
     accounting contract, identical whether chunks move one ``pread`` at
     a time or coalesced into spans. These counters meter the *physical*
-    syscalls those transfers cost, which is what the batched span path
+    syscalls those transfers cost, which is what span coalescing
     reduces: ``reads``/``writes`` count ``os.pread``/``os.pwrite``
-    calls, ``vector_reads``/``vector_writes`` count ``os.preadv``/
+    calls (whole-column transfers, element I/O, fault-injected spans),
+    ``vector_reads``/``vector_writes`` count ``os.preadv``/
     ``os.pwritev`` calls (one each per coalesced span).
     """
 

@@ -336,3 +336,118 @@ class TestBatchedExecutionEquivalence:
         with store:
             assert store.execute_batch([]) == []
             assert store.io.snapshot().total_chunks == 0
+
+
+def _span_chunks(spans):
+    """Every (disk, lba_chunk) the spans cover, and their total size."""
+    chunks = {(span.disk, lba) for span in spans for lba in span.lbas()}
+    return chunks, sum(span.chunks for span in spans)
+
+
+class TestSingleOpSpans:
+    """A request executes as a batch of one: its spans move exactly the
+    run plans' chunks (no bridged gap) and never leave its own stripes,
+    healthy and degraded, for every request shape."""
+
+    @pytest.mark.parametrize("family,n", FAMILIES)
+    @pytest.mark.parametrize("failed", [(), (0,), (0, 2), (0, 2, 4)])
+    def test_spans_cover_exactly_the_planned_chunks(
+        self, tmp_path, family, n, failed
+    ):
+        code, store, _ = build(tmp_path, family, n, failed=failed)
+        planner = store.planner
+        plans = []
+        plan_batch = planner.plan_batch
+
+        def recording(*args, **kwargs):
+            plans.append(plan_batch(*args, **kwargs))
+            return plans[-1]
+
+        planner.plan_batch = recording
+        rows = code.rows
+        shapes = request_classes(code)[:4]  # aligned .. multi-stripe
+        with store:
+            for offset, length in shapes:
+                for is_write in (False, True):
+                    if is_write:
+                        store.write_bytes(offset, bytes(length))
+                    else:
+                        store.read_bytes(offset, length)
+                    plan = plans[-1]
+                    stripes = {
+                        run.stripe
+                        for run in planner.mapping.byte_runs(offset, length)
+                    }
+                    context = (family, failed, offset, length, is_write)
+                    fallback = [
+                        planner.plan_spans([item])
+                        for group in plan.fallback_groups
+                        for item in group.items
+                        if item.plan.path == "delta"
+                    ]
+                    for spans in [plan.spans, *fallback]:
+                        reads, writes = set(), set()
+                        for item in spans.items:
+                            base = item.run.stripe * rows
+                            reads.update(
+                                (col, base + row)
+                                for row, col in item.plan.reads
+                            )
+                            writes.update(
+                                (col, base + row)
+                                for row, col in item.plan.writes
+                            )
+                        covered, size = _span_chunks(spans.read_spans)
+                        assert covered == reads | writes, context
+                        assert size == len(covered), context
+                        covered, size = _span_chunks(spans.write_spans)
+                        assert covered == writes, context
+                        assert size == len(covered), context
+                        touched = _span_chunks(
+                            spans.read_spans + spans.write_spans
+                        )[0]
+                        assert {lba // rows for _, lba in touched} <= stripes
+                        assert not {disk for disk, _ in touched} & set(failed)
+
+    def test_fault_plan_sees_one_span_io_per_planned_chunk(self, tmp_path):
+        """Under a fault plan every planned chunk is its own span I/O,
+        issued run by run in run-plan cell order (reads, then data and
+        parity writes) — the unit ``FaultRule.at_op`` counts in."""
+        from repro.faults import FaultPlan
+
+        code, store, _ = build(tmp_path, "tip", 8)
+        plan = FaultPlan(seed=1)
+        seen = []
+        note_access = plan.note_access
+
+        def recording(disk, lbas, write):
+            seen.append((disk, tuple(lbas), write))
+            return note_access(disk, lbas, write)
+
+        plan.note_access = recording
+        store.set_fault_plan(plan)
+        per_stripe = code.num_data * CHUNK
+        offset, length = per_stripe - 2 * CHUNK + 100, 2 * CHUNK
+        expected = []
+        rows = code.rows
+        for run in store.planner.mapping.byte_runs(offset, length):
+            run_plan = store.planner.plan_write_run(
+                run.start, run.length, partial=run.is_partial(CHUNK)
+            )
+            assert run_plan.path == "delta"
+            for cells, write in ((run_plan.reads, False),
+                                 (run_plan.writes, True)):
+                expected += [
+                    (col, (run.stripe * rows + row,), write)
+                    for row, col in cells
+                ]
+        runs = list(store.planner.mapping.byte_runs(offset, length))
+        assert [run.length for run in runs] == [2, 1]  # multi-chunk, 2 stripes
+        with store:
+            store.write_bytes(offset, bytes(range(256)) * (length // 256))
+            assert seen == expected
+            for disk in range(code.cols):
+                assert plan.ops(disk) == sum(
+                    1 for d, _, _ in expected if d == disk
+                )
+            assert store.last_io.total_chunks == len(expected)
