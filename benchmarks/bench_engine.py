@@ -1,18 +1,23 @@
-"""Execution-engine ablation: interpreted vs compiled vs multicore.
+"""Execution-engine ablation: interpreted vs compiled.
 
 Not a figure of the paper — this tracks the *engine* itself: the same
 XOR schedules executed by the interpreted reference
-(``XorSchedule.apply``), the compiled zero-allocation plan
-(``StripeCodec.encode_into`` / ``decode_into``), and the multicore
-fan-out (``repro.codec.parallel``) on the Fig. 14 geometry (tip, n=12,
-4 KiB packets, 32 MiB region).
+(``XorSchedule.apply``) and by the compiled zero-allocation plan
+(``StripeCodec.encode_into`` / ``decode_into``), both single-threaded
+like the paper's encoder, on the Fig. 14 geometry (tip, n=12, 4 KiB
+packets, 32 MiB region).
 
 Methodology — two things make the paired ratio reproducible where
 independently timed single passes swing by 40% on a noisy host:
 
 1. Every engine is timed over the *same* warm buffers in alternating
-   round-robin passes, and each engine keeps its best round. Host noise
-   hits all engines equally instead of biasing whichever ran last.
+   round-robin passes. Each round yields one paired ratio (interpreted
+   time / compiled time), and the speedup is the **median over rounds
+   of those per-round ratios**: host drift hits both engines of a round
+   alike and cancels in the ratio, and the median sheds the odd
+   disturbed round. Comparing per-engine best rounds instead pairs
+   timings taken up to a whole round apart, which at smoke size flips
+   the guard on noise. Reported GiB/s are each engine's best round.
 2. The measurement runs in a **fresh subprocess**. The interpreted
    engine allocates its outputs and temporaries on every pass, so its
    cost depends on allocator state: in a fresh process glibc serves the
@@ -34,6 +39,7 @@ import itertools
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -43,7 +49,6 @@ import numpy as np
 N = 12
 PACKET = 4096
 ROUNDS = 7
-WORKER_COUNTS = (2, 4)
 DECODE_PATTERNS = 4
 
 #: Acceptance bar for the compiled engine (single-threaded encode).
@@ -54,36 +59,28 @@ MIN_ENCODE_SPEEDUP = 1.5
 #: must clearly beat interpreted dense decoding, like encode does.
 MIN_DECODE_SPEEDUP = 1.5
 
-#: Paired smoke guards — asserted at *every* size, so CI's small-data
+#: Paired smoke guard — asserted at *every* size, so CI's small-data
 #: smoke run fails on a real slowdown instead of deferring to the rare
-#: full-size run. The decode guard is exact (compiled >= interpreted
-#: even at smoke size: fewer XORs and no per-pass allocation leave no
-#: excuse); the fan-out guard stays loose to catch the "5x slower than
-#: serial" class of regression, not percent-level drift.
-MIN_AUTO_PARALLEL_RATIO = 0.5
+#: full-size run. It is exact (compiled >= interpreted even at smoke
+#: size: fewer XORs and no per-pass allocation leave no excuse).
 MIN_DECODE_SMOKE_RATIO = 1.0
-
-#: At full size, auto fan-out must match serial compiled: on hosts where
-#: the pool cannot win, auto *is* the serial path plus one threshold
-#: check, and where it engages it must clear the measured margin.
-MIN_AUTO_PARALLEL_FULL = 0.9
 
 #: Re-acquiring a decode plan after decoder-LRU eviction must be far
 #: cheaper than solving from scratch (the code-level plan caches).
 MIN_PLAN_CACHE_SPEEDUP = 3.0
 
 
-def _best_rounds(passes, rounds=ROUNDS):
-    """Per-engine best wall time over ``rounds`` round-robin rounds."""
-    for do_pass in passes.values():  # warm plans, pools, page cache
+def _timed_rounds(passes, rounds=ROUNDS):
+    """Per-engine wall times of ``rounds`` round-robin rounds."""
+    for do_pass in passes.values():  # warm plans and page cache
         do_pass()
-    best = dict.fromkeys(passes, float("inf"))
+    times = {name: [] for name in passes}
     for _ in range(rounds):
         for name, do_pass in passes.items():
             start = time.perf_counter()
             do_pass()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
+            times[name].append(time.perf_counter() - start)
+    return times
 
 
 def _roofline():
@@ -107,8 +104,8 @@ def _roofline():
 
 
 def _encode_probe(data_bytes):
-    """Paired encode timings; returns best seconds per engine."""
-    from repro.codec import StripeCodec, parallel_encode_into, shared_empty
+    """Paired encode timings; returns per-round seconds per engine."""
+    from repro.codec import StripeCodec
     from repro.codes import make_code
 
     code = make_code("tip", N)
@@ -116,33 +113,15 @@ def _encode_probe(data_bytes):
     stripes = -(-data_bytes // codec.data_bytes_per_stripe)
     width = stripes * PACKET
     rng = np.random.default_rng(1)
-    # Pool-owned buffers: the forced/auto fan-out passes run zero-copy
-    # (workers get segment offsets), and the serial engines see the very
-    # same memory, so the paired comparison is apples to apples.
-    data = shared_empty((code.num_data, width), role="probe-enc-in")
-    data[...] = rng.integers(
-        0, 256, size=(code.num_data, width), dtype=np.uint8
-    )
-    out = shared_empty((code.num_parity, width), role="probe-enc-out")
+    data = rng.integers(0, 256, size=(code.num_data, width), dtype=np.uint8)
+    out = np.empty((code.num_parity, width), dtype=np.uint8)
     out.fill(0)
     packets = [data[i] for i in range(code.num_data)]
 
     passes = {
         "interpreted": lambda: codec.encode_packets(packets),
         "compiled": lambda: codec.encode_into(data, out),
-        # Auto fan-out: serial below the measured per-worker overhead
-        # threshold (and always on 1-CPU hosts), pooled fan-out above.
-        "parallel_auto": lambda: parallel_encode_into(
-            codec, data, out, workers=None
-        ),
     }
-    for workers in WORKER_COUNTS:
-        passes[f"parallel{workers}"] = (
-            lambda workers=workers: parallel_encode_into(
-                codec, data, out, workers=workers
-            )
-        )
-    best = _best_rounds(passes)
     return {
         "payload_bytes": code.num_data * width,
         "xors_per_element": codec.encode_xors / code.num_data,
@@ -150,14 +129,18 @@ def _encode_probe(data_bytes):
         # converts payload GiB/s into achieved XOR-stream GiB/s.
         "passes_per_data_row": codec.encode_plan.memory_passes
         / code.num_data,
-        "seconds": best,
+        "rounds": _timed_rounds(passes),
         "roofline": _roofline(),
     }
 
 
 def _decode_probe(data_bytes):
-    """Paired decode timings over sampled failure patterns."""
-    from repro.codec import StripeCodec, parallel_decode_into, shared_empty
+    """Paired decode timings over sampled failure patterns.
+
+    Each round's time per engine sums that round over every pattern, so
+    a round's paired ratio covers the whole pattern mix.
+    """
+    from repro.codec import StripeCodec
     from repro.codes import make_code
 
     code = make_code("tip", N)
@@ -169,45 +152,29 @@ def _decode_probe(data_bytes):
         list(itertools.combinations(range(code.cols), code.faults)),
         DECODE_PATTERNS,
     )
-    engines = (
-        "interpreted",
-        "compiled",
-        "parallel_auto",
-        *(f"parallel{workers}" for workers in WORKER_COUNTS),
-    )
-    total = dict.fromkeys(engines, 0.0)
+    total = {name: [0.0] * ROUNDS for name in ("interpreted", "compiled")}
     total_passes = 0
     for combo in combos:
         decoder = code.decoder_for(combo)
         total_passes += decoder.compiled_plan().memory_passes
-        known = shared_empty(
-            (len(decoder.plan.known_positions), width), role="probe-dec-in"
+        known = rng_np.integers(
+            0,
+            256,
+            size=(len(decoder.plan.known_positions), width),
+            dtype=np.uint8,
         )
-        known[...] = rng_np.integers(
-            0, 256, size=known.shape, dtype=np.uint8
-        )
-        out = shared_empty(
-            (len(decoder.plan.unknown_positions), width),
-            role="probe-dec-out",
+        out = np.empty(
+            (len(decoder.plan.unknown_positions), width), dtype=np.uint8
         )
         out.fill(0)
         packets = [known[i] for i in range(known.shape[0])]
         passes = {
             "interpreted": lambda: decoder.plan.schedule.apply(packets),
             "compiled": lambda: codec.decode_into(combo, known, out),
-            "parallel_auto": lambda: parallel_decode_into(
-                codec, combo, known, out, workers=None
-            ),
         }
-        for workers in WORKER_COUNTS:
-            passes[f"parallel{workers}"] = (
-                lambda workers=workers: parallel_decode_into(
-                    codec, combo, known, out, workers=workers
-                )
-            )
-        best = _best_rounds(passes)
-        for name, seconds in best.items():
-            total[name] += seconds
+        for name, times in _timed_rounds(passes).items():
+            for i, seconds in enumerate(times):
+                total[name][i] += seconds
     count = len(combos)
     return {
         "payload_bytes": code.num_data * width * count,
@@ -223,7 +190,7 @@ def _decode_probe(data_bytes):
         )
         / (code.num_data * count),
         "passes_per_data_row": total_passes / (code.num_data * count),
-        "seconds": total,
+        "rounds": total,
         "plan_seconds": _plan_probe(combos),
         "roofline": _roofline(),
     }
@@ -294,10 +261,29 @@ def _fresh_probe(kind, data_bytes):
 
 
 def _speeds(probe):
+    """Best-round payload GiB/s per engine."""
     return {
-        name: probe["payload_bytes"] / seconds / (1 << 30)
-        for name, seconds in probe["seconds"].items()
+        name: probe["payload_bytes"] / min(times) / (1 << 30)
+        for name, times in probe["rounds"].items()
     }
+
+
+def _paired_speedup(probe):
+    """Median over rounds of the per-round compiled/interpreted speed
+    ratio (interpreted seconds over compiled seconds of one round)."""
+    rounds = probe["rounds"]
+    return statistics.median(
+        slow / fast
+        for slow, fast in zip(rounds["interpreted"], rounds["compiled"])
+    )
+
+
+def _engine_rows(speed, speedup):
+    """Table rows: best-round GiB/s and the paired-median ratio."""
+    return [
+        ["interpreted", f"{speed['interpreted']:.3f}", "1.00"],
+        ["compiled", f"{speed['compiled']:.3f}", f"{speedup:.2f}"],
+    ]
 
 
 def _roofline_fields(probe, speed):
@@ -342,24 +328,16 @@ FULL_SIZE = DATA_BYTES >= 16 << 20
 def test_engine_encode_ablation():
     probe = _fresh_probe("encode", DATA_BYTES)
     speed = _speeds(probe)
-    speedup = speed["compiled"] / speed["interpreted"]
+    speedup = _paired_speedup(probe)
     roofline = _roofline_fields(probe, speed)
-    rows = [
-        [
-            name,
-            name.removeprefix("parallel") if "parallel" in name else 1,
-            f"{value:.3f}",
-            f"{value / speed['interpreted']:.2f}",
-        ]
-        for name, value in speed.items()
-    ]
     emit(
         "engine_encode_ablation",
         [
             f"code=tip n={N} data_mb={DATA_BYTES >> 20} "
-            f"host_cpus={os.cpu_count()}",
+            f"rounds={ROUNDS} host_cpus={os.cpu_count()}",
             *format_table(
-                ["engine", "workers", "GiB/s", "vs interpreted"], rows
+                ["engine", "GiB/s", "vs interpreted"],
+                _engine_rows(speed, speedup),
             ),
             f"roofline_gib_s={roofline['roofline_gib_s']:.2f} "
             f"achieved={roofline['roofline_achieved_fraction']:.2f}",
@@ -371,6 +349,7 @@ def test_engine_encode_ablation():
             "code": "tip",
             "n": N,
             "data_bytes": DATA_BYTES,
+            "rounds": ROUNDS,
             "host_cpus": os.cpu_count(),
             "xors_per_element": round(probe["xors_per_element"], 4),
             "compiled_speedup": round(speedup, 3),
@@ -384,42 +363,26 @@ def test_engine_encode_ablation():
     assert speed["compiled"] > 0
     # A roofline is a ceiling: the engine cannot beat cache-resident XOR.
     assert roofline["roofline_achieved_fraction"] <= 1, roofline
-    # Paired guard at every size: auto fan-out must never fall behind
-    # the serial compiled engine the way forced fan-out once did.
-    assert (
-        speed["parallel_auto"] >= MIN_AUTO_PARALLEL_RATIO * speed["compiled"]
-    ), speed
     if FULL_SIZE:
-        assert speedup >= MIN_ENCODE_SPEEDUP, speed
-        assert (
-            speed["parallel_auto"]
-            >= MIN_AUTO_PARALLEL_FULL * speed["compiled"]
-        ), speed
+        assert speedup >= MIN_ENCODE_SPEEDUP, (speedup, probe["rounds"])
 
 
 def test_engine_decode_ablation():
     probe = _fresh_probe("decode", DATA_BYTES)
     speed = _speeds(probe)
-    speedup = speed["compiled"] / speed["interpreted"]
+    speedup = _paired_speedup(probe)
     plan = probe["plan_seconds"]
     plan_cache_speedup = plan["cold"] / max(plan["evicted"], 1e-9)
     roofline = _roofline_fields(probe, speed)
-    rows = [
-        [
-            name,
-            name.removeprefix("parallel") if "parallel" in name else 1,
-            f"{value:.3f}",
-            f"{value / speed['interpreted']:.2f}",
-        ]
-        for name, value in speed.items()
-    ]
     emit(
         "engine_decode_ablation",
         [
             f"code=tip n={N} data_mb={DATA_BYTES >> 20} "
-            f"patterns={DECODE_PATTERNS} host_cpus={os.cpu_count()}",
+            f"patterns={DECODE_PATTERNS} rounds={ROUNDS} "
+            f"host_cpus={os.cpu_count()}",
             *format_table(
-                ["engine", "workers", "GiB/s", "vs interpreted"], rows
+                ["engine", "GiB/s", "vs interpreted"],
+                _engine_rows(speed, speedup),
             ),
             f"xors/elem dense={probe['xors_per_element']:.2f} "
             f"fused={probe['fused_xors_per_element']:.2f}",
@@ -437,6 +400,7 @@ def test_engine_decode_ablation():
             "code": "tip",
             "n": N,
             "data_bytes": DATA_BYTES,
+            "rounds": ROUNDS,
             "host_cpus": os.cpu_count(),
             "xors_per_element": round(probe["xors_per_element"], 4),
             "fused_xors_per_element": round(
@@ -457,33 +421,19 @@ def test_engine_decode_ablation():
     assert speed["compiled"] > 0
     # A roofline is a ceiling: the engine cannot beat cache-resident XOR.
     assert roofline["roofline_achieved_fraction"] <= 1, roofline
-    # Paired guards at every size: the compiled fused path must never
-    # fall behind the interpreted dense engine (it executes fewer XORs
-    # and allocates nothing per pass), auto fan-out must never fall far
-    # behind serial compiled, and re-acquiring a decode plan after
+    # Guards at every size: the compiled fused path must never fall
+    # behind the interpreted dense engine (it executes fewer XORs and
+    # allocates nothing per pass), and re-acquiring a decode plan after
     # decoder-LRU eviction must skip the algebra entirely.
-    assert speed["compiled"] >= MIN_DECODE_SMOKE_RATIO * speed["interpreted"], (
-        speed
-    )
-    assert (
-        speed["parallel_auto"] >= MIN_AUTO_PARALLEL_RATIO * speed["compiled"]
-    ), speed
+    assert speedup >= MIN_DECODE_SMOKE_RATIO, (speedup, probe["rounds"])
     assert plan_cache_speedup >= MIN_PLAN_CACHE_SPEEDUP, plan
     if FULL_SIZE:
-        assert speedup >= MIN_DECODE_SPEEDUP, speed
-        assert (
-            speed["parallel_auto"]
-            >= MIN_AUTO_PARALLEL_FULL * speed["compiled"]
-        ), speed
+        assert speedup >= MIN_DECODE_SPEEDUP, (speedup, probe["rounds"])
 
 
 def test_engine_paths_byte_identical():
-    """All engines produce the same bytes on the bench geometry."""
-    from repro.codec import (
-        StripeCodec,
-        parallel_decode_into,
-        parallel_encode_into,
-    )
+    """Both engines produce the same bytes on the bench geometry."""
+    from repro.codec import StripeCodec
     from repro.codes import make_code
 
     code = make_code("tip", N)
@@ -497,9 +447,6 @@ def test_engine_paths_byte_identical():
         np.array_equal(compiled[i], reference[i])
         for i in range(code.num_parity)
     )
-    for workers in (None, *WORKER_COUNTS):
-        fanned = parallel_encode_into(codec, data, workers=workers)
-        assert np.array_equal(fanned, compiled), workers
 
     combo = (0, 1, 2)
     decoder = code.decoder_for(combo)
@@ -518,6 +465,3 @@ def test_engine_paths_byte_identical():
     assert all(
         np.array_equal(single[i], dense[i]) for i in range(len(dense))
     )
-    for workers in WORKER_COUNTS:
-        fanned = parallel_decode_into(codec, combo, known, workers=workers)
-        assert np.array_equal(fanned, single), workers

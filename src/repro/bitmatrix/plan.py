@@ -31,9 +31,8 @@ flat program that executes with **zero per-step allocation**:
   so ``uint64`` views never fall back mid-sweep; an explicit
   ``tile_bytes`` is rounded **up** to the next 64-byte multiple.
 
-Plans are self-contained and picklable, which is what lets
-:mod:`repro.codec.parallel` ship them to worker processes that execute
-disjoint column ranges of shared-memory buffers.
+Plans execute in the calling thread; cached plans are shared between
+threads, each of which gets its own workspace arena.
 """
 
 from __future__ import annotations
@@ -449,18 +448,6 @@ class CompiledPlan:
             self._ws_local.arena = ws
         return ws
 
-    # ------------------------------------------------------------------
-    # pickling (the workspace arena is per-process scratch, not state)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_ws_local"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._ws_local = threading.local()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<CompiledPlan in={self.num_inputs} out={len(self.outputs)} "
@@ -476,7 +463,11 @@ def _rows_u64_viewable(rows: Sequence[np.ndarray]) -> bool:
     """True when every row is contiguous and 8-byte aligned at its base.
 
     Tile offsets are 64-byte multiples, so base alignment is the only
-    per-row condition needed for interior ``uint64`` views."""
+    per-row condition needed for interior ``uint64`` views. Alignment is
+    read off a one-word ``uint64`` view (callers guarantee rows of at
+    least 8 bytes): ``row.ctypes.data`` builds a ctypes object per row,
+    which at ~100 rows cost more than a whole smoke-size encode."""
     return all(
-        row.strides[0] == 1 and row.ctypes.data % 8 == 0 for row in rows
+        row.strides[0] == 1 and row[:8].view(np.uint64).flags.aligned
+        for row in rows
     )

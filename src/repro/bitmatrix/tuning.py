@@ -12,7 +12,7 @@ guess with three one-time measurements:
   kernels: a schedule that reads every source from DRAM can never beat
   it per op.
 * **memcpy bandwidth** — ``np.copyto`` at the same size; the roofline
-  for pure data movement (gather/scatter in the parallel fan-out).
+  for pure data movement, recorded beside the XOR rates as a reference.
 * **effective cache size** — the largest working-set footprint whose
   repeated in-place XOR still runs clearly above the streaming rate.
   Virtualized hosts lie in ``/sys`` (a vCPU may see the machine's full

@@ -5,9 +5,8 @@ with 4 KB packets on one core. :mod:`repro.codec.engine` reproduces that
 methodology on numpy buffers: the XOR schedules derived from each code's
 chains/parity-check matrix are executed on large packets, so throughput is
 dominated by the same per-element XOR counts that Figs. 14b/15b report.
-The default engine executes schedules as compiled zero-allocation plans
-(:mod:`repro.bitmatrix.plan`); :mod:`repro.codec.parallel` fans plans out
-over worker processes on shared-memory buffers.
+The default engine executes schedules in-process as compiled
+zero-allocation plans (:mod:`repro.bitmatrix.plan`).
 """
 
 from repro.codec.engine import (
@@ -18,12 +17,6 @@ from repro.codec.engine import (
     measure_encode_throughput,
     measure_decode_throughput,
 )
-from repro.codec.parallel import (
-    parallel_decode_into,
-    parallel_encode_into,
-    parallel_execute,
-    shared_empty,
-)
 
 __all__ = [
     "StripeCodec",
@@ -32,8 +25,4 @@ __all__ = [
     "kernel_name",
     "measure_encode_throughput",
     "measure_decode_throughput",
-    "parallel_encode_into",
-    "parallel_decode_into",
-    "parallel_execute",
-    "shared_empty",
 ]

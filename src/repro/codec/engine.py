@@ -15,9 +15,7 @@ Two execution engines are available:
 Both are the Python equivalent of the word-wise XOR loops the paper's C
 implementation runs, so relative speeds track XOR counts; the compiled
 engine removes the interpreter's allocation and DRAM traffic overheads.
-Multicore fan-out over shared-memory buffers lives in
-:mod:`repro.codec.parallel` and is reachable from the throughput
-measurers via ``workers=``.
+Like the paper's encoder, both run on one core.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ ENGINES = ("compiled", "interpreted")
 #: interpreted ``schedule.apply`` leaking into a compiled-engine number).
 KERNEL_INTERPRETED = "XorSchedule.apply"
 KERNEL_COMPILED = "CompiledPlan.execute_into"
-KERNEL_PARALLEL = "parallel_execute[zero-copy]"
 
 # ----------------------------------------------------------------------
 # encode-schedule memoization
@@ -307,36 +304,21 @@ class ThroughputResult:
         return self.total_bytes / (1 << 30) / max(self.seconds, 1e-12)
 
 
-def _check_engine(engine: str, workers: int) -> None:
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if engine == "interpreted" and workers > 1:
-        raise ValueError("multicore fan-out requires the compiled engine")
-
-
-def kernel_name(engine: str, workers: int = 1) -> str:
-    """The kernel an ``(engine, workers)`` pair dispatches to.
+def kernel_name(engine: str) -> str:
+    """The kernel an engine string dispatches to.
 
     Both throughput measurers branch on exactly this mapping, so a test
     pinning it pins what every engine string actually measures:
 
-    * ``("interpreted", 1)`` → :data:`KERNEL_INTERPRETED` — the
-      reference ``XorSchedule.apply`` of the *dense* schedule;
-    * ``("compiled", 1)`` → :data:`KERNEL_COMPILED` — the same
-      run-fused ``CompiledPlan.execute_into`` that
-      :meth:`StripeCodec.encode_into` / :meth:`StripeCodec.decode_into`
-      execute;
-    * ``("compiled", >1)`` → :data:`KERNEL_PARALLEL` — multiprocess
-      fan-out of that same plan over pooled shared-memory buffers
-      (allocated with :func:`repro.codec.parallel.shared_empty`, so the
-      timed region contains no gather/scatter copies).
+    * ``"interpreted"`` → :data:`KERNEL_INTERPRETED` — the reference
+      ``XorSchedule.apply`` of the *dense* schedule;
+    * ``"compiled"`` → :data:`KERNEL_COMPILED` — the same run-fused
+      ``CompiledPlan.execute_into`` that :meth:`StripeCodec.encode_into`
+      / :meth:`StripeCodec.decode_into` execute.
     """
-    _check_engine(engine, workers)
-    if engine == "interpreted":
-        return KERNEL_INTERPRETED
-    return KERNEL_PARALLEL if workers > 1 else KERNEL_COMPILED
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    return KERNEL_INTERPRETED if engine == "interpreted" else KERNEL_COMPILED
 
 
 def measure_encode_throughput(
@@ -345,7 +327,6 @@ def measure_encode_throughput(
     packet_size: int = 4096,
     seed: int = 0,
     engine: str = "compiled",
-    workers: int = 1,
     tile_bytes: int | None = None,
 ) -> ThroughputResult:
     """Encode ``data_bytes`` of random data; report GiB/s (Fig. 14a).
@@ -353,43 +334,25 @@ def measure_encode_throughput(
     Packets of all stripes are batched into one ``(num_data, S)`` buffer
     so a stripe's worth of XOR work runs as a handful of large vectorized
     XORs, mirroring the paper's memory-bandwidth-bound setup. ``engine``
-    selects interpreted vs compiled execution; ``workers > 1`` fans the
-    compiled plan out over processes on shared-memory buffers.
+    selects interpreted vs compiled execution.
     """
-    kernel = kernel_name(engine, workers)
+    kernel = kernel_name(engine)
     codec = StripeCodec(code, packet_size, tile_bytes=tile_bytes)
     stripes = -(-data_bytes // codec.data_bytes_per_stripe)  # ceil division
     width = stripes * packet_size
     rng = np.random.default_rng(seed)
-    if kernel == KERNEL_PARALLEL:
-        from repro.codec.parallel import parallel_encode_into, shared_empty
-
-        # Zero-copy: inputs and outputs live in pooled shared memory, so
-        # the timed region is pure fan-out execution (no gather/scatter).
-        data = shared_empty((code.num_data, width), role="bench-enc-in")
-        data[...] = rng.integers(
-            0, 256, size=(code.num_data, width), dtype=np.uint8
-        )
-        out = shared_empty((code.num_parity, width), role="bench-enc-out")
-        out.fill(0)  # fault the pages outside the timed region
+    data = rng.integers(0, 256, size=(code.num_data, width), dtype=np.uint8)
+    if kernel == KERNEL_INTERPRETED:
+        packets = [data[i] for i in range(code.num_data)]
         start = time.perf_counter()
-        parallel_encode_into(codec, data, out, workers=workers)
+        codec.encode_packets(packets)
         elapsed = time.perf_counter() - start
     else:
-        data = rng.integers(
-            0, 256, size=(code.num_data, width), dtype=np.uint8
-        )
-        if kernel == KERNEL_INTERPRETED:
-            packets = [data[i] for i in range(code.num_data)]
-            start = time.perf_counter()
-            codec.encode_packets(packets)
-            elapsed = time.perf_counter() - start
-        else:
-            out = np.empty((code.num_parity, width), dtype=np.uint8)
-            out.fill(0)  # fault the pages outside the timed region
-            start = time.perf_counter()
-            codec.encode_into(data, out)
-            elapsed = time.perf_counter() - start
+        out = np.empty((code.num_parity, width), dtype=np.uint8)
+        out.fill(0)  # fault the pages outside the timed region
+        start = time.perf_counter()
+        codec.encode_into(data, out)
+        elapsed = time.perf_counter() - start
     return ThroughputResult(
         name=code.name,
         total_bytes=code.num_data * width,
@@ -405,7 +368,6 @@ def measure_decode_throughput(
     patterns: int = 10,
     seed: int = 0,
     engine: str = "compiled",
-    workers: int = 1,
     tile_bytes: int | None = None,
 ) -> ThroughputResult:
     """Average decoding throughput over random failures (Fig. 15a).
@@ -421,7 +383,7 @@ def measure_decode_throughput(
     always reports the dense schedule's count (the paper's decode cost
     metric; see ``Decoder.fused_xor_count`` for the executed count).
     """
-    kernel = kernel_name(engine, workers)
+    kernel = kernel_name(engine)
     codec = StripeCodec(code, packet_size, tile_bytes=tile_bytes)
     stripes = -(-data_bytes // codec.data_bytes_per_stripe)  # ceil division
     width = stripes * packet_size
@@ -448,19 +410,6 @@ def measure_decode_throughput(
             packets = [fill[i] for i in range(num_known)]
             start = time.perf_counter()
             decoder.plan.schedule.apply(packets)
-            total_seconds += time.perf_counter() - start
-        elif kernel == KERNEL_PARALLEL:
-            from repro.codec.parallel import parallel_decode_into, shared_empty
-
-            # Zero-copy: survivors and outputs in pooled shared memory,
-            # so the timed region is pure fan-out execution.
-            known = shared_empty((num_known, width), role="bench-dec-in")
-            known[...] = fill
-            out = shared_empty((num_unknown, width), role="bench-dec-out")
-            out.fill(0)  # fault the pages outside the timed region
-            decoder.compiled_plan()  # compile outside the timed region
-            start = time.perf_counter()
-            parallel_decode_into(codec, combo, known, out, workers=workers)
             total_seconds += time.perf_counter() - start
         else:
             out = np.empty((num_unknown, width), dtype=np.uint8)

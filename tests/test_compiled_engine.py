@@ -2,12 +2,10 @@
 
 Covers plan lowering (dead-code elimination, workspace liveness reuse),
 compiled-vs-interpreted byte equivalence for every registered code,
-cache-blocked tiling, multicore determinism, the schedule memo and the
-LRU decoder cache.
+cache-blocked tiling, the schedule memo and the LRU decoder cache.
 """
 
 import itertools
-import pickle
 
 import numpy as np
 import pytest
@@ -26,12 +24,7 @@ from repro.codec import (
     StripeCodec,
     encode_schedule_for,
     kernel_name,
-    parallel_decode_into,
-    parallel_encode_into,
-    parallel_execute,
-    shared_empty,
 )
-from repro.codec.parallel import split_spans
 from repro.codes import make_code
 from repro.codes.registry import CODE_FAMILIES, supports_size
 from repro.store import ArrayStore
@@ -170,15 +163,6 @@ class TestPlanLowering:
         with pytest.raises(ValueError, match="needed output"):
             schedule.compile([3])
 
-    def test_plan_survives_pickle(self):
-        import pickle
-
-        code = small_code("tip")
-        codec = StripeCodec(code, packet_size=16)
-        data = random_matrix(code.num_data, 32, seed=3)
-        clone = pickle.loads(pickle.dumps(codec.encode_plan))
-        assert np.array_equal(clone.execute(data), codec.encode_into(data))
-
     def test_empty_schedule_plan(self):
         plan = CompiledPlan(XorSchedule(num_inputs=0, num_outputs=0))
         plan.execute_into([], [])  # no-op, no error
@@ -232,57 +216,6 @@ class TestPlanLowering:
         for t in threads:
             t.join()
         assert not corrupted
-
-
-# ----------------------------------------------------------------------
-# multicore fan-out
-# ----------------------------------------------------------------------
-class TestParallel:
-    @pytest.fixture(scope="class")
-    def tip6(self):
-        return make_code("tip", 6)
-
-    def test_split_spans_cover_and_align(self):
-        spans = split_spans(5 * 4096 + 17, 3)
-        assert spans[0][0] == 0 and spans[-1][1] == 5 * 4096 + 17
-        for (_, hi), (lo, _) in zip(spans[:-1], spans[1:]):
-            assert hi == lo
-            assert lo % 4096 == 0
-
-    def test_split_spans_narrow_width_degenerates(self):
-        assert split_spans(100, 4) == [(0, 100)]
-        assert split_spans(0, 4) == []
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_parallel_encode_deterministic(self, tip6, workers):
-        codec = StripeCodec(tip6)
-        data = random_matrix(tip6.num_data, 4096 * 6, seed=11)
-        expected = codec.encode_into(data)
-        result = parallel_encode_into(codec, data, workers=workers)
-        assert np.array_equal(result, expected), workers
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_parallel_decode_deterministic(self, tip6, workers):
-        codec = StripeCodec(tip6)
-        failed = (1, 3, 5)
-        decoder = tip6.decoder_for(failed)
-        known = random_matrix(
-            len(decoder.plan.known_positions), 4096 * 6, seed=13
-        )
-        expected = codec.decode_into(failed, known)
-        result = parallel_decode_into(codec, failed, known, workers=workers)
-        assert np.array_equal(result, expected), workers
-
-    def test_parallel_execute_on_views(self, tip6):
-        """Fan-out scatters results back into caller-owned views."""
-        codec = StripeCodec(tip6)
-        data = random_matrix(tip6.num_data, 4096 * 4, seed=17)
-        expected = codec.encode_into(data)
-        out = np.zeros((tip6.num_parity, 4096 * 4), dtype=np.uint8)
-        parallel_execute(
-            codec.encode_plan, list(data), [row for row in out], workers=2
-        )
-        assert np.array_equal(out, expected)
 
 
 # ----------------------------------------------------------------------
@@ -375,17 +308,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="engine"):
             measure_encode_throughput(tip6, data_bytes=1 << 12, engine="jit")
 
-    def test_interpreted_engine_refuses_workers(self, tip6):
-        from repro.codec import measure_encode_throughput
-
-        with pytest.raises(ValueError, match="compiled"):
-            measure_encode_throughput(
-                tip6, data_bytes=1 << 12, engine="interpreted", workers=2
-            )
-
 
 # ----------------------------------------------------------------------
-# store integration: batched rebuild + batch_workers
+# store integration: batched rebuild
 # ----------------------------------------------------------------------
 class TestStoreBatchedRebuild:
     CHUNK = 256
@@ -422,17 +347,6 @@ class TestStoreBatchedRebuild:
         )
         assert store.scrub() == []
 
-    def test_rebuild_with_batch_workers(self, tmp_path):
-        store = self.make_store(tmp_path, batch_workers=2, rebuild_batch=5)
-        payload = self.fill(store, seed=42)
-        store.fail_disk(1)
-        store.fail_disk(4)
-        assert store.rebuild() == store.stripes
-        assert np.array_equal(
-            store.read_chunks(0, store.capacity_chunks), payload
-        )
-        assert store.scrub() == []
-
     def test_rebuild_io_accounting_unchanged_by_batching(self, tmp_path):
         """Chunk I/O totals are a property of the geometry, not the batch."""
         totals = []
@@ -459,8 +373,6 @@ class TestStoreBatchedRebuild:
             )
 
     def test_batch_params_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="batch_workers"):
-            self.make_store(tmp_path / "w", batch_workers=0)
         with pytest.raises(ValueError, match="rebuild_batch"):
             self.make_store(tmp_path / "b", rebuild_batch=0)
 
@@ -524,66 +436,6 @@ class TestPlanCachesSurviveEviction:
                 else:
                     want = parity[code.parity_positions.index(pos)]
                 assert np.array_equal(restored[row], want), (failed, pos)
-
-
-# ----------------------------------------------------------------------
-# auto fan-out: pool engages only when the span amortizes its overhead
-# ----------------------------------------------------------------------
-class TestAutoFanout:
-    def test_auto_resolves_serial_below_threshold(self, monkeypatch):
-        from repro.codec import parallel as par
-
-        monkeypatch.setattr(par.os, "cpu_count", lambda: 8)
-        par._auto_thresholds[8] = 64 << 20  # pretend overhead is huge
-        try:
-            assert par.auto_worker_count(1 << 20) == 1
-            assert par.auto_worker_count(63 << 20) == 1
-        finally:
-            par._auto_thresholds.pop(8, None)
-
-    def test_auto_scales_with_width_above_threshold(self, monkeypatch):
-        from repro.codec import parallel as par
-
-        monkeypatch.setattr(par.os, "cpu_count", lambda: 8)
-        par._auto_thresholds[8] = 4 << 20
-        try:
-            assert par.auto_worker_count(8 << 20) == 2
-            assert par.auto_worker_count(64 << 20) == 8  # capped at cpus
-        finally:
-            par._auto_thresholds.pop(8, None)
-
-    def test_single_cpu_host_never_fans_out(self, monkeypatch):
-        from repro.codec import parallel as par
-
-        monkeypatch.setattr(par.os, "cpu_count", lambda: 1)
-        assert par.auto_worker_count(1 << 30) == 1
-
-    def test_auto_workers_byte_identical_to_serial(self):
-        code = small_code("tip")
-        codec = StripeCodec(code)
-        data = random_matrix(code.num_data, 4096 * 4, seed=37)
-        expected = codec.encode_into(data)
-        auto = parallel_encode_into(codec, data, workers=None)
-        assert np.array_equal(auto, expected)
-
-    def test_segment_pool_reuses_segments_across_calls(self):
-        from repro.codec import parallel as par
-
-        code = small_code("tip")
-        codec = StripeCodec(code)
-        data = random_matrix(code.num_data, 4096 * 4, seed=41)
-        expected = codec.encode_into(data)
-        first = parallel_encode_into(codec, data, workers=2)
-        names_after_first = {
-            role: shm.name for role, shm in par._segments._segments.items()
-        }
-        second = parallel_encode_into(codec, data, workers=2)
-        names_after_second = {
-            role: shm.name for role, shm in par._segments._segments.items()
-        }
-        assert names_after_first == names_after_second  # reused, not remade
-        assert np.array_equal(first, expected)
-        assert np.array_equal(second, expected)
 
 
 # ----------------------------------------------------------------------
@@ -669,20 +521,6 @@ class TestFusedDecodeSweep:
         expected = plan.execute(aligned)
         got = plan.execute(rows)
         assert np.array_equal(got, expected)
-
-    def test_fused_plan_survives_pickle(self):
-        """Fused decode plans (runs included) round-trip through pickle
-        byte-identically — workers receive plans this way."""
-        code = small_code("tip")
-        combo = (1, 3, 5)
-        decoder = code.decoder_for(combo)
-        plan = decoder.compiled_plan()
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.runs == plan.runs
-        known = random_matrix(
-            len(decoder.plan.known_positions), 4096, seed=53
-        )
-        assert np.array_equal(clone.execute(known), plan.execute(known))
 
     def test_fused_plan_executes_fewer_xors_than_dense(self):
         """The two-stage factorization is the point: for tip the fused
@@ -797,21 +635,10 @@ class TestKernelPinning:
     def test_engine_strings_pin_kernels(self):
         assert kernel_name("interpreted") == "XorSchedule.apply"
         assert kernel_name("compiled") == "CompiledPlan.execute_into"
-        assert kernel_name("compiled", workers=1) == kernel_name("compiled")
-        assert kernel_name("compiled", workers=2) == (
-            "parallel_execute[zero-copy]"
-        )
-        assert kernel_name("compiled", workers=4) == (
-            "parallel_execute[zero-copy]"
-        )
 
     def test_kernel_name_validates_like_the_measurers(self):
         with pytest.raises(ValueError, match="engine"):
             kernel_name("jit")
-        with pytest.raises(ValueError, match="compiled"):
-            kernel_name("interpreted", workers=2)
-        with pytest.raises(ValueError, match="workers"):
-            kernel_name("compiled", workers=0)
 
     def test_measured_decode_matches_decode_into_plan(self):
         """The compiled decode measurement times the very plan objects
@@ -841,87 +668,3 @@ class TestKernelPinning:
         )
         compiled = measure_decode_throughput(code, engine="compiled", **kwargs)
         assert interpreted.xors_per_element == compiled.xors_per_element
-
-
-# ----------------------------------------------------------------------
-# zero-copy fan-out: the pooled allocator and address-range detection
-# ----------------------------------------------------------------------
-class TestZeroCopyPool:
-    def test_shared_empty_rows_are_located(self):
-        from repro.codec import parallel as par
-
-        matrix = shared_empty((4, 4096), role="test-locate")
-        hit = par._segments.locate([matrix[i] for i in range(4)], 4096)
-        assert hit is not None
-        name, offsets = hit
-        assert name == par._segments._segments["user:test-locate"].name
-        assert offsets == [i * 4096 for i in range(4)]
-
-    def test_private_arrays_are_not_located(self):
-        from repro.codec import parallel as par
-
-        shared_empty((1, 64), role="test-locate-miss")  # pool is non-empty
-        private = np.zeros((2, 512), dtype=np.uint8)
-        assert par._segments.locate([private[0], private[1]], 512) is None
-
-    def test_shared_empty_validates_shape(self):
-        with pytest.raises(ValueError):
-            shared_empty((-1, 64))
-        with pytest.raises(ValueError):
-            shared_empty((2, -64))
-
-    def test_grow_retires_old_segment_without_unmapping(self):
-        """Growing a role keeps prior ``shared_empty`` views readable:
-        the replaced segment is unlinked but its unmap is deferred."""
-        from repro.codec import parallel as par
-
-        old = shared_empty((1, 1024), role="test-grow")
-        old.fill(7)
-        retired_before = len(par._segments._retired)
-        grown = shared_empty((1, 1 << 20), role="test-grow")
-        assert len(par._segments._retired) == retired_before + 1
-        assert (old == 7).all()  # old view still backed by live pages
-        grown.fill(9)
-        assert (old == 7).all()  # distinct memory
-
-    def test_pool_owned_buffers_skip_gather_scatter(self):
-        """Fan-out into pool-owned rows writes results in place — the
-        caller's ``shared_empty`` matrix holds the output with no
-        scatter copy, byte-identical to the serial engine."""
-        code = small_code("tip")
-        codec = StripeCodec(code)
-        width = 4096 * 4
-        data = shared_empty((code.num_data, width), role="test-zc-in")
-        data[...] = random_matrix(code.num_data, width, seed=61)
-        out = shared_empty((code.num_parity, width), role="test-zc-out")
-        out.fill(0)
-        expected = codec.encode_into(np.ascontiguousarray(data))
-        parallel_execute(
-            codec.encode_plan,
-            [data[i] for i in range(code.num_data)],
-            [out[i] for i in range(code.num_parity)],
-            workers=2,
-        )
-        assert np.array_equal(out, expected)
-
-    def test_in_and_out_rows_in_same_segment(self):
-        """Workers attach one segment when inputs and outputs share it."""
-        code = small_code("tip")
-        codec = StripeCodec(code)
-        width = 4096 * 2
-        rows = code.num_data + code.num_parity
-        block = shared_empty((rows, width), role="test-zc-inout")
-        block[: code.num_data] = random_matrix(
-            code.num_data, width, seed=67
-        )
-        block[code.num_data :] = 0
-        expected = codec.encode_into(
-            np.ascontiguousarray(block[: code.num_data])
-        )
-        parallel_execute(
-            codec.encode_plan,
-            [block[i] for i in range(code.num_data)],
-            [block[code.num_data + i] for i in range(code.num_parity)],
-            workers=2,
-        )
-        assert np.array_equal(block[code.num_data :], expected)
